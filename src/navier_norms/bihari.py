@@ -39,6 +39,7 @@ __all__ = [
     "bihari_bound",
     "volterra_oracle",
     "equality_case",
+    "solve_cells",
     "bihari_verify",
     "corollary_norm_bound",
     "corollary_time_exponent",
@@ -83,11 +84,14 @@ def _node_values(f: GridFunction) -> np.ndarray:
 
 
 def _cell_value_at(f: GridFunction, t: float) -> float:
-    """Value on the cell containing t, cells read as (jh, (j+1)h]."""
-    if t <= 0:
-        return float(f.values[0])
-    idx = min(int(math.ceil(t / f.cell_width)) - 1, f.n - 1)
-    return float(f.values[idx])
+    """Value on the cell containing t, cells read as (jh, (j+1)h].
+
+    The cell is found on the edges arange(n+1)*h that :func:`bihari_bound`
+    integrates over, so a node time t = k*h maps to cell k-1 exactly; t/h
+    can round past k.
+    """
+    idx = int(np.searchsorted(np.arange(f.n + 1) * f.cell_width, t)) - 1
+    return float(f.values[min(max(idx, 0), f.n - 1)])
 
 
 def _kernel_cell_integral(t: float, lo: np.ndarray, hi: np.ndarray, gamma: float) -> np.ndarray:
@@ -124,6 +128,38 @@ def bihari_bound(inst: BihariInstance, t: float, s_tilde: float) -> float:
     return (a_t ** (1.0 - inst.beta) + integral) ** (1.0 / (1.0 - inst.beta))
 
 
+def _lag_weights(n: int, h: float, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact per-lag moments of the kernel (t-s)^(gamma-1) over one cell.
+
+    For a node t_i and a cell [s_j, s_j + h] with lag m = i - j >= 1, the
+    kernel integral depends on m alone (the inequality is a convolution):
+
+        i0[m] = int_cell (t_i - s)^(gamma-1) ds,
+        i1[m] = int_cell (t_i - s)^(gamma-1) (s - s_j)/h ds,
+
+    with u = t_i - s running over [(m-1)h, mh].  Index 0 is lag 0 (the cell
+    does not precede the node) and holds 0.  The lag times are the exact
+    multiples arange(n+1)*h, so lag 1 starts at u = 0 exactly; a difference
+    t - s_j - h would leave a roundoff residue there that a small gamma
+    turns into an O(1) error.
+    """
+    u = np.arange(n + 1) * h
+    u0, u1 = u[1:], u[:-1]
+    diff = u0**gamma - u1**gamma
+    i0 = np.concatenate(([0.0], diff / gamma))
+    i1 = np.concatenate(
+        ([0.0], (u0 * diff / gamma - (u0 ** (gamma + 1) - u1 ** (gamma + 1)) / (gamma + 1)) / h)
+    )
+    return i0, i1
+
+
+def _lower_toeplitz(w: np.ndarray) -> np.ndarray:
+    """(n+1) x n matrix with entry (i, j) = w[i - j] for i >= j, else 0."""
+    rows, cols = w.size, w.size - 1
+    lag = np.subtract.outer(np.arange(rows), np.arange(cols))
+    return np.where(lag >= 0, w[lag], 0.0)
+
+
 def _product_matrix(inst: BihariInstance) -> np.ndarray:
     """Product-integration matrix M over the nodes.
 
@@ -132,21 +168,12 @@ def _product_matrix(inst: BihariInstance) -> np.ndarray:
     (exact) and g is interpolated linearly inside each cell, integrated
     exactly against the kernel.
     """
-    n, h, gamma = inst.n, inst.a.cell_width, inst.gamma
-    t = np.arange(n + 1)[:, None] * h  # node times, column
-    sj = np.arange(n)[None, :] * h  # cell left edges, row
-    tri = np.arange(n + 1)[:, None] > np.arange(n)[None, :]  # cell j precedes node i
-    u0 = np.where(tri, t - sj, 1.0)
-    u1 = np.where(tri, t - sj - h, 0.0)
-    u1 = np.maximum(u1, 0.0)
-    i0 = (u0**gamma - u1**gamma) / gamma
-    i1 = (u0 * (u0**gamma - u1**gamma) / gamma - (u0 ** (gamma + 1) - u1 ** (gamma + 1)) / (gamma + 1)) / h
-    i0 = np.where(tri, i0, 0.0)
-    i1 = np.where(tri, i1, 0.0)
+    n = inst.n
+    i0, i1 = _lag_weights(n, inst.a.cell_width, inst.gamma)
     psi = inst.psi.values[None, :]
     M = np.zeros((n + 1, n + 1))
-    M[:, :-1] += psi * (i0 - i1)  # weight on the cell's left node
-    M[:, 1:] += psi * i1  # weight on the cell's right node
+    M[:, :-1] += psi * _lower_toeplitz(i0 - i1)  # weight on the cell's left node
+    M[:, 1:] += psi * _lower_toeplitz(i1)  # weight on the cell's right node
     return M
 
 
@@ -174,14 +201,8 @@ def volterra_oracle(inst: BihariInstance) -> GridFunction:
 def _cell_matrix(inst: BihariInstance) -> np.ndarray:
     """Kernel integrals in the pure cell model: entry (i-1, j) is the exact
     integral of (t_i - s)^(gamma-1) psi(s) over cell j, for j < i."""
-    n, h, gamma = inst.n, inst.a.cell_width, inst.gamma
-    t = np.arange(1, n + 1)[:, None] * h
-    sj = np.arange(n)[None, :] * h
-    tri = np.arange(1, n + 1)[:, None] > np.arange(n)[None, :]
-    u0 = np.where(tri, t - sj, 1.0)
-    u1 = np.maximum(np.where(tri, t - sj - h, 0.0), 0.0)
-    i0 = np.where(tri, (u0**gamma - u1**gamma) / gamma, 0.0)
-    return i0 * inst.psi.values[None, :]
+    i0, _ = _lag_weights(inst.n, inst.a.cell_width, inst.gamma)
+    return _lower_toeplitz(i0)[1:] * inst.psi.values[None, :]
 
 
 def equality_case(inst: BihariInstance) -> GridFunction:
@@ -194,11 +215,13 @@ def equality_case(inst: BihariInstance) -> GridFunction:
     :func:`volterra_oracle`, whose quadrature differs from the cell model
     wherever phi is non-monotone).
     """
-    phi, _, _ = _solve_cells(inst)
+    phi, _, _ = solve_cells(inst)
     return GridFunction(T=inst.T, values=phi)
 
 
-def _solve_cells(inst: BihariInstance) -> tuple[np.ndarray, int, float]:
+def solve_cells(inst: BihariInstance) -> tuple[np.ndarray, int, float]:
+    """Cell values of :func:`equality_case` with the Picard iteration count
+    and final residual; raises NoConvergence if Picard does not converge."""
     M = _cell_matrix(inst)
     phi, iterations, residual = kernels.picard_solve(
         M, inst.a.values, float(inst.beta), PICARD_TOL, PICARD_MAXIT
@@ -218,9 +241,9 @@ class VerifyReport:
     bound_sorted: np.ndarray = field(repr=False, default=None)
 
 
-def _bound_at_nodes(inst: BihariInstance) -> np.ndarray:
-    """t -> K_t(t) at the nodes h, 2h, ..., T (exact cell integration)."""
-    integrals = _cell_matrix(inst).sum(axis=1)
+def _bound_at_nodes(inst: BihariInstance, cells: np.ndarray) -> np.ndarray:
+    """t -> K_t(t) at the nodes h, 2h, ..., T, from the cell matrix."""
+    integrals = cells.sum(axis=1)
     a_nodes = inst.a.values  # a(t_i) = value on the cell left of node i
     if inst.beta == 0.0:
         return a_nodes + integrals
@@ -254,8 +277,9 @@ def bihari_verify(
     """
     if not phi.same_grid(inst.a):
         raise ValueError("phi must live on the instance grid")
+    cells = _cell_matrix(inst)
     if check_hypothesis:
-        rhs = inst.a.values + _cell_matrix(inst) @ phi.values**inst.beta
+        rhs = inst.a.values + cells @ phi.values**inst.beta
         margins = rhs - phi.values
         bad = np.nonzero(margins <= 0)[0]
         if bad.size:
@@ -263,7 +287,7 @@ def bihari_verify(
             raise HypothesisFailed(node=i + 1, lhs=float(phi.values[i]), rhs=float(rhs[i]))
     else:
         margins = np.array([])
-    bound_nodes = _bound_at_nodes(inst)
+    bound_nodes = _bound_at_nodes(inst, cells)
     phi_runmax = np.maximum.accumulate(phi.values)
     bound_runmax = np.maximum.accumulate(bound_nodes)
     violation = float(

@@ -22,6 +22,7 @@ from .config import RunConfig, RunManifest, parse_norm_pairs
 from .errors import (
     ExponentError,
     HypothesisFailed,
+    MissingSamples,
     NoBranch,
     NonFinite,
     NonIntegrable,
@@ -107,7 +108,7 @@ def cmd_bihari(args) -> int:
     worst = 0.0
     for i in range(trials):
         inst = bihari.random_instance(rng, n=n, T=T, beta=beta, gamma=gamma)
-        phi_cells, iterations, residual = bihari._solve_cells(inst)
+        phi_cells, iterations, residual = bihari.solve_cells(inst)
         phi = inst.a.with_values(phi_cells * (1.0 - 1e-9))
         try:
             report = bihari.bihari_verify(inst, phi, slack=BIHARI_SLACK)
@@ -158,7 +159,6 @@ def cmd_simulate(args) -> int:
             initial_condition=cfg.get_str("initial_condition", "taylor_green"),
             sample_stride=cfg.get_int("sample_stride", 10),
             norms=parse_norm_pairs(cfg.get_str("norms", "0:6 1:3 1:2 0:2 2:2")),
-            thetas=[float(x) for x in cfg.get_str("thetas", "0.2").split(",")],
         )
         snapshot_stride = cfg.get_int("snapshot_stride", 0)
     except (OSError, ValueError, KeyError) as exc:
@@ -197,7 +197,7 @@ def _curve_verdict(k: int, r: float, r_tilde: float) -> str:
     try:
         r_exact = Q(Fraction(r).limit_denominator(10**6))
         point = curves.derivative_curve(k, r_exact)
-    except (ExponentError, NoBranch):
+    except (OverflowError, ValueError):  # ExponentError, NoBranch, or r = inf / nan
         return "off-curve: r outside the stated intervals"
     if not point.admissible or point.r_tilde is None:
         return f"inadmissible: {point.reason}"
@@ -214,15 +214,12 @@ def cmd_norms(args) -> int:
     try:
         if args.theta is not None and args.theta >= 1.0:
             raise NonIntegrable(f"theta={args.theta} >= 1")
+        r_tilde = math.inf if args.rtilde.lower() == "inf" else float(args.rtilde)
         traj = spectral_io.read_norm_csv(args.traj)
-    except NonIntegrable as exc:
-        print(f"norms: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (OSError, ValueError) as exc:
         print(f"norms: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    r_tilde = math.inf if args.rtilde.lower() == "inf" else float(args.rtilde)
     result = {
         "k": args.k,
         "r": args.r,
@@ -240,10 +237,7 @@ def cmd_norms(args) -> int:
                     )
                 )
             )
-    except (NonIntegrable, ValueError) as exc:
-        print(f"norms: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except Exception as exc:  # MissingSamples and friends
+    except (ValueError, MissingSamples) as exc:
         print(f"norms: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

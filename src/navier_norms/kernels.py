@@ -1,37 +1,30 @@
-"""Backend selection for the hot numerical kernels.
-
-At import time the compiled Cython extension is preferred; the pure-numpy
-fallback is used when the extension is absent or when the environment
-variable NAVIER_NORMS_KERNELS is set to "python".  Both backends expose the
-same functions and return identical results up to floating-point rounding.
-"""
+"""Picard fixed-point kernel for the product-integration Volterra solves."""
 
 from __future__ import annotations
 
-import os
-
-from . import _kernels_py
-
-if os.environ.get("NAVIER_NORMS_KERNELS", "").lower() == "python":
-    _impl = _kernels_py
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _kernels_py
-
-BACKEND: str = _impl.BACKEND
-picard_solve = _impl.picard_solve
+import numpy as np
 
 
-def get_backend(name: str | None = None):
-    """Return a kernel module by name ("python", "cython") or the active one."""
-    if name is None:
-        return _impl
-    if name == "python":
-        return _kernels_py
-    if name == "cython":
-        from . import _kernels  # raises ImportError if not built
+def picard_solve(M, a, beta, tol, maxit):
+    """Fixed point of phi = a + M @ phi**beta by Picard iteration.
 
-        return _kernels
-    raise ValueError(f"unknown backend {name!r}")
+    M is the (dense, lower-triangular) product-integration matrix over the
+    time nodes, a the inhomogeneity at the nodes.  Returns
+    (phi, iterations, residual) where residual is the final sup-distance
+    between successive iterates.
+    """
+    M = np.ascontiguousarray(M, dtype=np.float64)
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    phi = a.copy()
+    residual = np.inf
+    iterations = 0
+    for iterations in range(1, maxit + 1):
+        if beta == 0.0:
+            nxt = a + M.sum(axis=1)
+        else:
+            nxt = a + M @ np.power(phi, beta)
+        residual = float(np.max(np.abs(nxt - phi)))
+        phi = nxt
+        if residual < tol:
+            break
+    return phi, iterations, residual

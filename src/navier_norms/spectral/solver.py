@@ -39,7 +39,6 @@ class SolverConfig:
     sample_stride: int = 10
     forcing: Forcing = None
     norms: Sequence[tuple[int, float]] = DEFAULT_NORM_PAIRS
-    thetas: Sequence[float] = (0.2,)
     keep_fields: Optional[bool] = None  # None: keep when N <= 32
 
     def __post_init__(self):

@@ -81,6 +81,24 @@ def test_bound_domain_checks():
         bihari_bound(inst, 0.5, 0.8)
 
 
+# -- kernel integrals ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, T, gamma", [(100, 1.0, 0.1), (256, 0.7, 0.1), (256, 1.0, 0.5)])
+def test_lag_weights_integrate_exactly(n, T, gamma):
+    # psi = 1: int_0^t (t-s)^(gamma-1) ds = t^gamma/gamma, and the linear
+    # data s are integrated exactly, int_0^t (t-s)^(gamma-1) s ds
+    # = t^(gamma+1)/(gamma (gamma+1))
+    inst = constant_instance(n=n, T=T, gamma=gamma)
+    s_nodes = np.arange(n + 1) * inst.a.cell_width
+    t = s_nodes[1:]
+    rows = bihari._cell_matrix(inst).sum(axis=1)
+    assert np.max(np.abs(rows / (t**gamma / gamma) - 1.0)) < 1e-13
+    linear = (bihari._product_matrix(inst) @ s_nodes)[1:]
+    expected = t ** (gamma + 1) / (gamma * (gamma + 1))
+    assert np.max(np.abs(linear / expected - 1.0)) < 1e-13
+
+
 # -- equality-case solvers ----------------------------------------------------
 
 
@@ -100,11 +118,13 @@ def test_oracle_analytic_solution():
 
 
 def test_oracle_beta_zero_matches_bound_exactly():
-    rng = np.random.default_rng(5)
-    inst = random_instance(rng, n=64, beta=0.0)
-    phi = equality_case(inst)
-    expected = np.array([bihari_bound(inst, t, t) for t in np.arange(1, 65) / 64.0])
-    assert np.allclose(phi.values, expected, rtol=1e-12, atol=1e-12)
+    for n, T in ((64, 1.0), (100, 1.0), (96, 0.7)):
+        rng = np.random.default_rng(5)
+        inst = random_instance(rng, n=n, T=T, beta=0.0)
+        phi = equality_case(inst)
+        nodes = np.arange(1, n + 1) * inst.a.cell_width
+        expected = np.array([bihari_bound(inst, t, t) for t in nodes])
+        assert np.allclose(phi.values, expected, rtol=1e-12, atol=1e-12), (n, T)
 
 
 def test_equality_case_saturates_cell_quadrature():

@@ -216,6 +216,16 @@ def test_norms_theta_too_large_exits_2(small_run, capsys):
     assert "theta" in capsys.readouterr().err
 
 
+def test_norms_bad_values_exit_2(small_run, capsys):
+    _, out_dir = small_run
+    traj = ["norms", "--traj", str(out_dir / "norms.csv"), "--k", "0"]
+    assert cli.main(traj + ["--r", "2", "--rtilde", "abc"]) == 2
+    assert "abc" in capsys.readouterr().err
+    # r = inf has no curve verdict and no sampled series in this run
+    assert cli.main(traj + ["--r", "inf", "--rtilde", "2"]) == 2
+    assert "no samples" in capsys.readouterr().err
+
+
 def test_norms_missing_series_exits_2(small_run, capsys):
     _, out_dir = small_run
     code = cli.main(

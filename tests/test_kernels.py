@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
 from navier_norms import kernels
-from navier_norms.kernels import get_backend
 
 
 def _problem(n=64, seed=3):
@@ -12,15 +10,9 @@ def _problem(n=64, seed=3):
     return M, a
 
 
-def test_active_backend_exposed():
-    assert kernels.BACKEND in ("python", "cython")
-    assert callable(kernels.picard_solve)
-
-
 def test_python_backend_beta_zero_closed_form():
     M, a = _problem()
-    backend = get_backend("python")
-    phi, iterations, residual = backend.picard_solve(M, a, 0.0, 1e-10, 100)
+    phi, iterations, residual = kernels.picard_solve(M, a, 0.0, 1e-10, 100)
     assert residual < 1e-10
     assert np.allclose(phi, a + M.sum(axis=1), rtol=0, atol=1e-14)
 
@@ -33,28 +25,9 @@ def test_fixed_point_residual():
     assert np.allclose(phi, a + M @ phi**beta, atol=1e-11)
 
 
-def test_backend_parity():
-    try:
-        compiled = get_backend("cython")
-    except ImportError:
-        pytest.skip("compiled extension not built")
-    M, a = _problem(n=128)
-    for beta in (0.0, 0.3, 0.85):
-        p1, i1, r1 = get_backend("python").picard_solve(M, a, beta, 1e-10, 10_000)
-        p2, i2, r2 = compiled.picard_solve(M, a, beta, 1e-10, 10_000)
-        assert i1 == i2
-        assert np.allclose(p1, p2, rtol=1e-13, atol=1e-13)
-
-
 def test_readonly_inputs_accepted():
     M, a = _problem(n=16)
     M.setflags(write=False)
     a.setflags(write=False)
     phi, _, residual = kernels.picard_solve(M, a, 0.5, 1e-10, 1000)
     assert residual < 1e-10
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        get_backend("fortran")
-    assert get_backend() is not None
