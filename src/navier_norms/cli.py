@@ -28,7 +28,7 @@ from .errors import (
     NonIntegrable,
 )
 from .extrational import Q
-from .spectral import diagnostics, io as spectral_io, solver
+from .spectral import diagnostics, field as spectral_field, io as spectral_io, solver
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -161,6 +161,7 @@ def cmd_simulate(args) -> int:
             norms=parse_norm_pairs(cfg.get_str("norms", "0:6 1:3 1:2 0:2 2:2")),
         )
         snapshot_stride = cfg.get_int("snapshot_stride", 0)
+        spectral_field.fft_workers()  # refuse a bad NAVIER_NORMS_THREADS before any transform
     except (OSError, ValueError, KeyError) as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return EXIT_USAGE

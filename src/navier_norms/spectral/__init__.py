@@ -3,7 +3,6 @@
 from .diagnostics import (
     EnergyReport,
     NormTrajectory,
-    energy_report,
     gn_check,
     mixed_norm,
     weighted_singular_integral,
@@ -27,7 +26,6 @@ __all__ = [
     "SpectralField",
     "biot_savart",
     "divergence_error",
-    "energy_report",
     "gn_check",
     "init_taylor_green",
     "lebesgue_norm",

@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from ..errors import MissingSamples, NonIntegrable
 from . import field as sf
@@ -17,7 +16,6 @@ __all__ = [
     "NormTrajectory",
     "EnergyReport",
     "build_energy_report",
-    "energy_report",
     "mixed_norm",
     "weighted_singular_integral",
     "gn_check",
@@ -58,7 +56,6 @@ class EnergyReport:
     times: np.ndarray = dc_field(repr=False)
     energy: np.ndarray = dc_field(repr=False)
     dissipation: np.ndarray = dc_field(repr=False)
-    forcing_work: np.ndarray = dc_field(repr=False)
     leray_residuals: tuple[float, float] = (0.0, 0.0)
     energy_balance_residual: float = 0.0
 
@@ -71,60 +68,32 @@ def build_energy_report(
     times: np.ndarray,
     energy: np.ndarray,
     dissipation: np.ndarray,
-    forcing_work: np.ndarray,
-    forcing_l2: np.ndarray,
     nu: float,
 ) -> EnergyReport:
-    """Assemble the report from per-step series.
+    """Assemble the report from per-step series of the unforced flow.
 
     leray_residuals holds the worst-case margins of the two a-priori
     inequalities (non-negative margins mean the inequality holds):
-    the L^2 bound |u(t)| <= |u_0| + 1/2 int_0^T |f|, and the dissipation
-    bound int_0^t |grad u|^2 <= nu^-1 (|u_0|^2 + |u(t)| int_0^t |f|).
+    the L^2 bound |u(t)| <= |u_0|, and the dissipation bound
+    int_0^t |grad u|^2 <= |u_0|^2 / nu.
     """
     u_l2 = np.sqrt(2.0 * energy)
-    f_total = trapezoid(forcing_l2, times)
-    margin_l2 = float(np.min(u_l2[0] + 0.5 * f_total - u_l2))
-    cum_grad = cumulative_trapezoid(dissipation / nu, times, initial=0.0)
-    cum_f = cumulative_trapezoid(forcing_l2, times, initial=0.0)
-    margin_diss = float(np.min((u_l2[0] ** 2 + u_l2 * cum_f) / nu - cum_grad))
-    balance = abs(
-        energy[-1]
-        - energy[0]
-        + trapezoid(dissipation, times)
-        - trapezoid(forcing_work, times)
+    margin_l2 = float(np.min(u_l2[0] - u_l2))
+    grad_sq = dissipation / nu
+    # running trapezoid integral of |grad u|^2, 0 at t = 0
+    cum_grad = np.concatenate(
+        ([0.0], np.cumsum(np.diff(times) * (grad_sq[1:] + grad_sq[:-1]) / 2.0))
     )
+    margin_diss = float(np.min(u_l2[0] ** 2 / nu - cum_grad))
+    balance = abs(energy[-1] - energy[0] + np.trapezoid(dissipation, times))
     scale = max(energy[0], np.finfo(float).tiny)
     return EnergyReport(
         times=times,
         energy=energy,
         dissipation=dissipation,
-        forcing_work=forcing_work,
         leray_residuals=(margin_l2, margin_diss),
         energy_balance_residual=balance / scale,
     )
-
-
-def energy_report(fields, times, nu: float, forcing=None) -> EnergyReport:
-    """Report from a sampled field trajectory (coarser than the per-step
-    series the solver accumulates, but self-contained)."""
-    times = np.asarray(times, dtype=float)
-    energy = np.array([0.5 * sf.spectral_l2_sq(f.coeffs, f.N) for f in fields])
-    dissipation = np.array(
-        [nu * sf.spectral_gradient_l2_sq(f.coeffs, f.N) for f in fields]
-    )
-    if forcing is None:
-        work = np.zeros_like(times)
-        f_l2 = np.zeros_like(times)
-    else:
-        w = sf.hermitian_weights(fields[0].N)
-        work, f_l2 = [], []
-        for t, f in zip(times, fields):
-            fhat = forcing(t)
-            work.append(float(sf.BOX_VOLUME * np.sum(w * (fhat * np.conj(f.coeffs)).real)))
-            f_l2.append(math.sqrt(sf.spectral_l2_sq(fhat, f.N)))
-        work, f_l2 = np.asarray(work), np.asarray(f_l2)
-    return build_energy_report(times, energy, dissipation, work, f_l2, nu)
 
 
 def mixed_norm(traj: NormTrajectory, k: int, r: float, r_tilde: float) -> float:
@@ -135,7 +104,7 @@ def mixed_norm(traj: NormTrajectory, k: int, r: float, r_tilde: float) -> float:
         return float(np.max(vals))
     if r_tilde < 1:
         raise ValueError(f"r_tilde={r_tilde} must be >= 1 or inf")
-    return float(trapezoid(vals**r_tilde, traj.times)) ** (1.0 / r_tilde)
+    return float(np.trapezoid(vals**r_tilde, traj.times)) ** (1.0 / r_tilde)
 
 
 def weighted_singular_integral(traj: NormTrajectory, k: int, r: float, theta: float, T: float | None = None) -> float:

@@ -21,6 +21,7 @@ import scipy.fft
 __all__ = [
     "SpectralField",
     "fft_workers",
+    "check_grid_size",
     "wavenumbers",
     "hermitian_weights",
     "dealias_mask",
@@ -44,12 +45,21 @@ BOX_VOLUME = TWO_PI**3
 
 
 def fft_workers() -> int:
-    """Worker count for the transforms, capped by NAVIER_NORMS_THREADS."""
+    """Worker count for the transforms, capped by NAVIER_NORMS_THREADS,
+    which must be an integer >= 1 when set."""
     cap = os.environ.get("NAVIER_NORMS_THREADS")
     avail = os.cpu_count() or 1
     if cap is None:
         return avail
-    return max(1, min(avail, int(cap)))
+    if not cap.strip().isdecimal() or int(cap) < 1:
+        raise ValueError(f"NAVIER_NORMS_THREADS={cap!r} must be an integer >= 1")
+    return min(avail, int(cap))
+
+
+def check_grid_size(N: int) -> None:
+    """Raise ValueError unless N is a power of two >= 8."""
+    if N < 8 or N & (N - 1):
+        raise ValueError(f"N={N} must be a power of two >= 8")
 
 
 @functools.lru_cache(maxsize=8)
@@ -96,8 +106,7 @@ class SpectralField:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.N < 8 or self.N & (self.N - 1):
-            raise ValueError(f"N={self.N} must be a power of two >= 8")
+        check_grid_size(self.N)
         if self.nu <= 0:
             raise ValueError(f"nu={self.nu} must be positive")
         expected = (3, self.N, self.N, self.N // 2 + 1)
@@ -179,14 +188,10 @@ def vorticity(f: SpectralField) -> SpectralField:
 
 
 def biot_savart(omega: SpectralField) -> SpectralField:
-    """Velocity from vorticity, uhat = i k x omegahat / |k|^2 (zero mean)."""
-    kx, ky, kz, k2 = wavenumbers(omega.N)
-    k2_safe = np.where(k2 == 0, 1.0, k2)
-    w = omega.coeffs
-    u = np.empty_like(w)
-    u[0] = 1j * (ky * w[2] - kz * w[1]) / k2_safe
-    u[1] = 1j * (kz * w[0] - kx * w[2]) / k2_safe
-    u[2] = 1j * (kx * w[1] - ky * w[0]) / k2_safe
+    """Velocity from vorticity, uhat = i k x omegahat / |k|^2 (zero mean):
+    the curl of omega divided by |k|^2."""
+    _, _, _, k2 = wavenumbers(omega.N)
+    u = vorticity(omega).coeffs / np.where(k2 == 0, 1.0, k2)
     u[:, 0, 0, 0] = 0.0
     return SpectralField(N=omega.N, nu=omega.nu, coeffs=u)
 

@@ -65,7 +65,6 @@ def write_energy_json(report: EnergyReport, path) -> None:
         "times": [float(_fmt(t)) for t in report.times],
         "energy": [float(_fmt(e)) for e in report.energy],
         "dissipation": [float(_fmt(d)) for d in report.dissipation],
-        "forcing_work": [float(_fmt(w)) for w in report.forcing_work],
         "leray_residuals": [float(_fmt(x)) for x in report.leray_residuals],
         "energy_balance_residual": float(_fmt(report.energy_balance_residual)),
     }

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +158,36 @@ def test_simulate_bad_config_exits_2(tmp_path):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("N = 16\nnorms = bogus\n")
     assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["N = 12\n", "N = 16\nT = 1.0\ndt = 0.3\n"],
+    ids=["N-not-power-of-two", "T-not-whole-steps"],
+)
+def test_simulate_bad_grid_or_horizon_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(text)
+    assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("simulate: ") and err.count("\n") == 1
+
+
+def test_simulate_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("N = 16\ndt = 0.005\nT = 0.01\n")
+    for value in ("abc", "0", "-2"):
+        monkeypatch.setenv("NAVIER_NORMS_THREADS", value)
+        assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "NAVIER_NORMS_THREADS" in capsys.readouterr().err
+
+
+def test_cli_import_skips_scipy_integrate():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, navier_norms.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_norms_on_curve_verdict(small_run, capsys):
