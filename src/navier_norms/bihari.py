@@ -27,7 +27,6 @@ from . import kernels
 from .errors import (
     ExponentInadmissible,
     HypothesisFailed,
-    NoConvergence,
     SingularityAtEndpoint,
 )
 from .gridfn import GridFunction, lp_norm
@@ -144,48 +143,32 @@ def _lag_weights(n: int, h: float, gamma: float) -> tuple[np.ndarray, np.ndarray
     turns into an O(1) error.
     """
     u = np.arange(n + 1) * h
-    u0, u1 = u[1:], u[:-1]
-    diff = u0**gamma - u1**gamma
-    i0 = np.concatenate(([0.0], diff / gamma))
-    i1 = np.concatenate(
-        ([0.0], (u0 * diff / gamma - (u0 ** (gamma + 1) - u1 ** (gamma + 1)) / (gamma + 1)) / h)
-    )
-    return i0, i1
+    i0, i1 = kernels.cell_moments(u[1:], u[:-1], h, gamma)
+    return np.concatenate(([0.0], i0)), np.concatenate(([0.0], i1))
 
 
-def _lower_toeplitz(w: np.ndarray) -> np.ndarray:
-    """(n+1) x n matrix with entry (i, j) = w[i - j] for i >= j, else 0."""
-    rows, cols = w.size, w.size - 1
-    lag = np.subtract.outer(np.arange(rows), np.arange(cols))
-    return np.where(lag >= 0, w[lag], 0.0)
+def _causal(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Causal convolution sum_{j<=i} w[i-j] g[j] for i = 0, ..., w.size-1."""
+    return np.convolve(w, g)[: w.size]
 
 
-def _product_matrix(inst: BihariInstance) -> np.ndarray:
-    """Product-integration matrix M over the nodes.
+def _node_operator(inst: BihariInstance):
+    """Product integration over the nodes: g -> int_0^{t_i} (t_i-s)^(gamma-1) psi g ds.
 
-    Row i approximates int_0^{t_i} (t_i-s)^(gamma-1) psi(s) g(s) ds for a
-    slowly-varying factor g given at the nodes: psi is kept cell-constant
-    (exact) and g is interpolated linearly inside each cell, integrated
+    psi is kept cell-constant (exact) and the slowly-varying factor g, given
+    at the nodes, is interpolated linearly inside each cell and integrated
     exactly against the kernel.
     """
-    n = inst.n
-    i0, i1 = _lag_weights(n, inst.a.cell_width, inst.gamma)
-    psi = inst.psi.values[None, :]
-    M = np.zeros((n + 1, n + 1))
-    M[:, :-1] += psi * _lower_toeplitz(i0 - i1)  # weight on the cell's left node
-    M[:, 1:] += psi * _lower_toeplitz(i1)  # weight on the cell's right node
-    return M
+    i0, i1 = _lag_weights(inst.n, inst.a.cell_width, inst.gamma)
+    left = i0 - i1  # weight on the cell's left node; i1 weighs its right node
+    psi = inst.psi.values
+    return lambda g: _causal(left, psi * g[:-1]) + _causal(i1, psi * g[1:])
 
 
 def _solve_nodes(inst: BihariInstance) -> tuple[np.ndarray, int, float]:
-    M = _product_matrix(inst)
-    a_nodes = _node_values(inst.a)
-    phi, iterations, residual = kernels.picard_solve(
-        M, a_nodes, float(inst.beta), PICARD_TOL, PICARD_MAXIT
+    return kernels.picard_solve(
+        _node_operator(inst), _node_values(inst.a), float(inst.beta), PICARD_TOL, PICARD_MAXIT
     )
-    if residual >= PICARD_TOL:
-        raise NoConvergence(residual=residual, iterations=iterations)
-    return phi, iterations, residual
 
 
 def volterra_oracle(inst: BihariInstance) -> GridFunction:
@@ -198,11 +181,12 @@ def volterra_oracle(inst: BihariInstance) -> GridFunction:
     return GridFunction(T=inst.T, values=phi_nodes[1:])
 
 
-def _cell_matrix(inst: BihariInstance) -> np.ndarray:
-    """Kernel integrals in the pure cell model: entry (i-1, j) is the exact
-    integral of (t_i - s)^(gamma-1) psi(s) over cell j, for j < i."""
+def _cell_operator(inst: BihariInstance):
+    """Pure cell model at the nodes h, ..., T: g -> sum_{j<i} I_ij psi_j g_j, with
+    I_ij the exact integral of (t_i - s)^(gamma-1) over cell j."""
     i0, _ = _lag_weights(inst.n, inst.a.cell_width, inst.gamma)
-    return _lower_toeplitz(i0)[1:] * inst.psi.values[None, :]
+    psi = inst.psi.values
+    return lambda g: _causal(i0, psi * g)[1:]
 
 
 def equality_case(inst: BihariInstance) -> GridFunction:
@@ -222,13 +206,9 @@ def equality_case(inst: BihariInstance) -> GridFunction:
 def solve_cells(inst: BihariInstance) -> tuple[np.ndarray, int, float]:
     """Cell values of :func:`equality_case` with the Picard iteration count
     and final residual; raises NoConvergence if Picard does not converge."""
-    M = _cell_matrix(inst)
-    phi, iterations, residual = kernels.picard_solve(
-        M, inst.a.values, float(inst.beta), PICARD_TOL, PICARD_MAXIT
+    return kernels.picard_solve(
+        _cell_operator(inst), inst.a.values, float(inst.beta), PICARD_TOL, PICARD_MAXIT
     )
-    if residual >= PICARD_TOL:
-        raise NoConvergence(residual=residual, iterations=iterations)
-    return phi, iterations, residual
 
 
 @dataclass(frozen=True)
@@ -241,9 +221,9 @@ class VerifyReport:
     bound_sorted: np.ndarray = field(repr=False, default=None)
 
 
-def _bound_at_nodes(inst: BihariInstance, cells: np.ndarray) -> np.ndarray:
-    """t -> K_t(t) at the nodes h, 2h, ..., T, from the cell matrix."""
-    integrals = cells.sum(axis=1)
+def _bound_at_nodes(inst: BihariInstance, cells) -> np.ndarray:
+    """t -> K_t(t) at the nodes h, 2h, ..., T, from the cell operator."""
+    integrals = cells(np.ones(inst.n))
     a_nodes = inst.a.values  # a(t_i) = value on the cell left of node i
     if inst.beta == 0.0:
         return a_nodes + integrals
@@ -277,9 +257,9 @@ def bihari_verify(
     """
     if not phi.same_grid(inst.a):
         raise ValueError("phi must live on the instance grid")
-    cells = _cell_matrix(inst)
+    cells = _cell_operator(inst)
     if check_hypothesis:
-        rhs = inst.a.values + cells @ phi.values**inst.beta
+        rhs = inst.a.values + cells(phi.values**inst.beta)
         margins = rhs - phi.values
         bad = np.nonzero(margins <= 0)[0]
         if bad.size:

@@ -24,11 +24,11 @@ from .errors import (
     HypothesisFailed,
     MissingSamples,
     NoBranch,
+    NoConvergence,
     NonFinite,
     NonIntegrable,
 )
 from .extrational import Q
-from .spectral import diagnostics, field as spectral_field, io as spectral_io, solver
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -108,13 +108,21 @@ def cmd_bihari(args) -> int:
     worst = 0.0
     for i in range(trials):
         inst = bihari.random_instance(rng, n=n, T=T, beta=beta, gamma=gamma)
-        phi_cells, iterations, residual = bihari.solve_cells(inst)
+        try:
+            phi_cells, iterations, residual = bihari.solve_cells(inst)
+        except NoConvergence as exc:
+            print(f"bihari: trial {i}: blow-up in the equality case, {exc}", file=sys.stderr)
+            return EXIT_BLOWUP
         phi = inst.a.with_values(phi_cells * (1.0 - 1e-9))
         try:
-            report = bihari.bihari_verify(inst, phi, slack=BIHARI_SLACK)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                report = bihari.bihari_verify(inst, phi, slack=BIHARI_SLACK)
         except HypothesisFailed as exc:
             print(f"bihari: trial {i}: {exc}", file=sys.stderr)
             return EXIT_VIOLATION
+        if not math.isfinite(report.conclusion_max_violation):
+            print(f"bihari: trial {i}: blow-up, non-finite bound or violation", file=sys.stderr)
+            return EXIT_BLOWUP
         worst = max(worst, report.conclusion_max_violation)
         trial_reports.append(
             {
@@ -148,6 +156,7 @@ def cmd_bihari(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .spectral import field as spectral_field, io as spectral_io, solver
     t0 = time.monotonic()
     try:
         cfg = RunConfig.from_file(args.config)
@@ -211,6 +220,7 @@ def _curve_verdict(k: int, r: float, r_tilde: float) -> str:
 
 
 def cmd_norms(args) -> int:
+    from .spectral import diagnostics, io as spectral_io
     t0 = time.monotonic()
     try:
         if args.theta is not None and args.theta >= 1.0:
@@ -228,15 +238,11 @@ def cmd_norms(args) -> int:
         "verdict": _curve_verdict(args.k, args.r, r_tilde),
     }
     try:
-        result["mixed_norm"] = float(_fmt(diagnostics.mixed_norm(traj, args.k, args.r, r_tilde)))
+        result["mixed_norm"] = diagnostics.mixed_norm(traj, args.k, args.r, r_tilde)
         if args.theta is not None:
             result["theta"] = args.theta
-            result["weighted_integral"] = float(
-                _fmt(
-                    diagnostics.weighted_singular_integral(
-                        traj, args.k, args.r, args.theta, T=args.T
-                    )
-                )
+            result["weighted_integral"] = diagnostics.weighted_singular_integral(
+                traj, args.k, args.r, args.theta, T=args.T
             )
     except (ValueError, MissingSamples) as exc:
         print(f"norms: {exc}", file=sys.stderr)

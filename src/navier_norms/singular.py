@@ -33,16 +33,15 @@ def riesz_convolution(f: GridFunction, alpha: float) -> GridFunction:
     """
     if not (0.0 < alpha < 1.0):
         raise NonIntegrable(f"alpha={alpha} outside (0,1)")
-    h = f.cell_width
-    mid = (np.arange(f.n) + 0.5) * h
-    edges = np.arange(f.n + 1) * h
+    n, h = f.n, f.cell_width
+    m = np.arange(1 - n, n)  # lag i - j: cell j spans e = (m -/+ 1/2)h from midpoint i
     # antiderivative of |e|^(-alpha) in e: sign(e) |e|^(1-alpha) / (1-alpha)
-    e0 = mid[:, None] - edges[None, :-1]
-    e1 = mid[:, None] - edges[None, 1:]
+    e0 = (m + 0.5) * h
+    e1 = (m - 0.5) * h
     g0 = np.sign(e0) * np.abs(e0) ** (1.0 - alpha)
     g1 = np.sign(e1) * np.abs(e1) ** (1.0 - alpha)
     weights = (g0 - g1) / (1.0 - alpha)
-    return f.with_values(weights @ f.values)
+    return f.with_values(np.convolve(weights, f.values)[n - 1 : 2 * n - 1])
 
 
 @dataclass(frozen=True)
@@ -59,6 +58,8 @@ def singular_beta_integral(T: float, s: float, theta: float, beta: float) -> Sin
     the non-singular factor at its maximum on each half:
     ((1-theta)^(-1) + (1-beta)^(-1)) ((T-s)/2)^(1-theta-beta).
     """
+    if not all(map(math.isfinite, (T, s, theta, beta))):
+        raise ValueError(f"non-finite argument: T={T}, s={s}, theta={theta}, beta={beta}")
     if T <= s:
         raise ValueError(f"need T > s, got T={T}, s={s}")
     if theta >= 1.0 or beta >= 1.0:

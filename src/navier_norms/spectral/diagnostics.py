@@ -10,6 +10,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from ..errors import MissingSamples, NonIntegrable
+from ..kernels import cell_moments
 from . import field as sf
 
 __all__ = [
@@ -124,14 +125,10 @@ def weighted_singular_integral(traj: NormTrajectory, k: int, r: float, theta: fl
         T = float(times[-1])
     if T < times[-1] - 1e-12:
         raise ValueError("T must cover the sampled interval")
-    total = 0.0
-    for t0, t1, v0, v1 in zip(times[:-1], times[1:], vals[:-1], vals[1:]):
-        slope = (v1 - v0) / (t1 - t0)
-        A = v0 + slope * (T - t0)  # value as a function of u = T - t: A - slope*u
-        u0, u1 = T - t0, max(T - t1, 0.0)
-        total += A * (u0 ** (1.0 - theta) - u1 ** (1.0 - theta)) / (1.0 - theta)
-        total -= slope * (u0 ** (2.0 - theta) - u1 ** (2.0 - theta)) / (2.0 - theta)
-    return total
+    i0, i1 = cell_moments(
+        T - times[:-1], np.maximum(T - times[1:], 0.0), np.diff(times), 1.0 - theta
+    )
+    return float(np.sum(vals[:-1] * (i0 - i1) + vals[1:] * i1))
 
 
 def gn_check(f: sf.SpectralField) -> tuple[float, float]:

@@ -62,11 +62,11 @@ def read_norm_csv(path) -> NormTrajectory:
 
 def write_energy_json(report: EnergyReport, path) -> None:
     payload = {
-        "times": [float(_fmt(t)) for t in report.times],
-        "energy": [float(_fmt(e)) for e in report.energy],
-        "dissipation": [float(_fmt(d)) for d in report.dissipation],
-        "leray_residuals": [float(_fmt(x)) for x in report.leray_residuals],
-        "energy_balance_residual": float(_fmt(report.energy_balance_residual)),
+        "times": [float(t) for t in report.times],
+        "energy": [float(e) for e in report.energy],
+        "dissipation": [float(d) for d in report.dissipation],
+        "leray_residuals": [float(x) for x in report.leray_residuals],
+        "energy_balance_residual": float(report.energy_balance_residual),
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 

@@ -92,11 +92,38 @@ def test_lag_weights_integrate_exactly(n, T, gamma):
     inst = constant_instance(n=n, T=T, gamma=gamma)
     s_nodes = np.arange(n + 1) * inst.a.cell_width
     t = s_nodes[1:]
-    rows = bihari._cell_matrix(inst).sum(axis=1)
+    rows = bihari._cell_operator(inst)(np.ones(n))
     assert np.max(np.abs(rows / (t**gamma / gamma) - 1.0)) < 1e-13
-    linear = (bihari._product_matrix(inst) @ s_nodes)[1:]
+    linear = bihari._node_operator(inst)(s_nodes)[1:]
     expected = t ** (gamma + 1) / (gamma * (gamma + 1))
     assert np.max(np.abs(linear / expected - 1.0)) < 1e-13
+
+
+def _lower_toeplitz(w):
+    """(n+1) x n matrix with entry (i, j) = w[i - j] for i >= j, else 0."""
+    lag = np.subtract.outer(np.arange(w.size), np.arange(w.size - 1))
+    return np.where(lag >= 0, w[lag], 0.0)
+
+
+@pytest.mark.parametrize("n, T, gamma", [(64, 1.0, 0.1), (256, 0.7, 0.5), (1024, 1.0, 0.9)])
+def test_operators_match_dense_reference(n, T, gamma):
+    # the convolution operators against the dense product-integration and
+    # cell matrices gathered from the same lag weights
+    rng = np.random.default_rng(n)
+    inst = random_instance(rng, n=n, T=T, gamma=gamma)
+    i0, i1 = bihari._lag_weights(n, inst.a.cell_width, gamma)
+    psi = inst.psi.values[None, :]
+    nodes = np.zeros((n + 1, n + 1))
+    nodes[:, :-1] += psi * _lower_toeplitz(i0 - i1)
+    nodes[:, 1:] += psi * _lower_toeplitz(i1)
+    cells = _lower_toeplitz(i0)[1:] * psi
+    g = rng.uniform(0.5, 2.0, n + 1)
+    for op, M, x in ((bihari._node_operator(inst), nodes, g), (bihari._cell_operator(inst), cells, g[1:])):
+        got, ref = op(x), M @ x
+        assert got.shape == ref.shape
+        nz = ref != 0  # only node 0, which no cell precedes
+        assert np.all(got[~nz] == 0)
+        assert np.max(np.abs(got[nz] / ref[nz] - 1.0)) < 1e-13
 
 
 # -- equality-case solvers ----------------------------------------------------
@@ -131,7 +158,7 @@ def test_equality_case_saturates_cell_quadrature():
     rng = np.random.default_rng(11)
     inst = random_instance(rng, n=64)
     phi = equality_case(inst)
-    rhs = inst.a.values + bihari._cell_matrix(inst) @ phi.values**inst.beta
+    rhs = inst.a.values + bihari._cell_operator(inst)(phi.values**inst.beta)
     assert np.allclose(phi.values, rhs, rtol=1e-9, atol=1e-9)
 
 

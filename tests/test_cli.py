@@ -128,6 +128,20 @@ def test_bihari_bad_config_exits_2(tmp_path):
     assert cli.main(["bihari", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "r.json")]) == 2
 
 
+@pytest.mark.parametrize("n", [32, 256], ids=["picard-overflows", "bound-overflows"])
+def test_bihari_blowup_exits_4(tmp_path, capsys, n):
+    # beta near 1 over a long horizon: at n = 32 the equality-case Picard
+    # iterates overflow, at n = 256 they converge but the diagonal bound
+    # K_t(t) = (...)^(1/(1-beta)) overflows
+    cfg = tmp_path / "bihari.cfg"
+    cfg.write_text(f"n = {n}\ntrials = 1\nT = 100000\nbeta = 0.99\ngamma = 1.0\n")
+    out = tmp_path / "r.json"
+    assert cli.main(["bihari", "--config", str(cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("bihari: trial 0: blow-up") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # -- simulate and norms subcommands -------------------------------------------
 
 
@@ -185,9 +199,10 @@ def test_simulate_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch):
 def test_cli_import_skips_scipy_integrate():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, navier_norms.cli; print('scipy.integrate' in sys.modules)"
+    # bihari and curves never transform a field, so scipy.fft stays out too
+    code = "import sys, navier_norms.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_norms_on_curve_verdict(small_run, capsys):

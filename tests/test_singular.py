@@ -97,3 +97,12 @@ def test_beta_integral_rejects_nonintegrable():
         singular_beta_integral(1.0, 1.0, 0.5, 0.5)
     with pytest.raises(ValueError):
         singular_beta_integral(1.0, 0.0, -0.1, 0.5)
+
+
+@pytest.mark.parametrize("position", range(4), ids=["T", "s", "theta", "beta"])
+def test_beta_integral_rejects_nan(position):
+    # theta + beta = 1 makes the span exponent 0, so a NaN span reads as 1
+    args = [1.0, 0.0, 0.5, 0.5]
+    args[position] = math.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        singular_beta_integral(*args)

@@ -307,6 +307,19 @@ def test_weighted_integral_theta_zero_is_plain_integral():
     )
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.3, 0.9])
+def test_weighted_integral_linear_data_nonuniform_times(theta):
+    # linear data are interpolated exactly, so with u = T - t
+    # int_0^T u^(-theta) (c0 + c1 (T - u)) du is the closed form
+    rng = np.random.default_rng(12)
+    times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 19))))
+    c0, c1, T = 0.7, 2.5, float(times[-1])
+    traj = NormTrajectory(times=times, samples={(0, 2.0): c0 + c1 * times})
+    g = 1.0 - theta
+    expected = (c0 + c1 * T) * T**g / g - c1 * T ** (g + 1) / (g + 1)
+    assert weighted_singular_integral(traj, 0, 2.0, theta) == pytest.approx(expected, rel=1e-12)
+
+
 def test_weighted_integral_rejects_nonintegrable():
     traj = flat_trajectory()
     with pytest.raises(NonIntegrable):
