@@ -19,7 +19,7 @@ the time nodes and integrated exactly against the singular kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -217,8 +217,6 @@ class VerifyReport:
     conclusion_max_violation: float
     sorted_max_violation: float
     hypothesis_margins: np.ndarray
-    phi_sorted: np.ndarray = field(repr=False, default=None)
-    bound_sorted: np.ndarray = field(repr=False, default=None)
 
 
 def _bound_at_nodes(inst: BihariInstance, cells) -> np.ndarray:
@@ -283,8 +281,6 @@ def bihari_verify(
         conclusion_max_violation=violation,
         sorted_max_violation=sorted_violation,
         hypothesis_margins=margins,
-        phi_sorted=phi_sorted,
-        bound_sorted=bound_sorted,
     )
 
 

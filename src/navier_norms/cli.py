@@ -27,6 +27,7 @@ from .errors import (
     NoConvergence,
     NonFinite,
     NonIntegrable,
+    UndefinedExtendedValue,
 )
 from .extrational import Q
 
@@ -60,7 +61,7 @@ def cmd_curves(args) -> int:
     selector = args.k if args.k is not None else args.target
     try:
         points = curves.sample_curve(selector, Q(args.r_min), Q(args.r_max), args.samples)
-    except (ExponentError, NoBranch, ValueError) as exc:
+    except (ExponentError, NoBranch, ValueError, UndefinedExtendedValue) as exc:
         print(f"curves: {exc}", file=sys.stderr)
         return EXIT_USAGE
     rows = curves.curve_points_to_rows(selector, points)
@@ -89,6 +90,7 @@ def cmd_bihari(args) -> int:
     t0 = time.monotonic()
     try:
         cfg = RunConfig.from_file(args.config)
+        cfg.check_keys(("n", "T", "trials", "seed", "beta", "gamma"))
         n = cfg.get_int("n", 256)
         T = cfg.get_float("T", 1.0)
         trials = cfg.get_int("trials", 100)
@@ -160,6 +162,9 @@ def cmd_simulate(args) -> int:
     t0 = time.monotonic()
     try:
         cfg = RunConfig.from_file(args.config)
+        cfg.check_keys(
+            ("N", "nu", "dt", "T", "initial_condition", "sample_stride", "norms", "snapshot_stride")
+        )
         config = solver.SolverConfig(
             N=cfg.get_int("N", 32),
             nu=cfg.get_float("nu", 0.1),

@@ -65,6 +65,12 @@ class RunConfig:
             return default
         return float(self.entries[key])
 
+    def check_keys(self, known) -> None:
+        """Raise ValueError naming every key outside ``known`` in one line."""
+        unread = [key for key in self.entries if key not in known]
+        if unread:
+            raise ValueError(f"unread config keys {', '.join(unread)} (known: {', '.join(known)})")
+
     def __contains__(self, key: str) -> bool:
         return key in self.entries
 

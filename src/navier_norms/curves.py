@@ -13,9 +13,9 @@ clamped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import BranchMismatch, NoBranch, OutOfRange
 from .extrational import INF, ExtRational, Q
@@ -44,16 +44,30 @@ class CurvePoint:
     branch_id: str = ""
 
 
+def _horner(coeffs: tuple, x: Fraction) -> Fraction | int:
+    """coeffs[0] + coeffs[1] x + coeffs[2] x^2 + ..., exactly."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
 @dataclass(frozen=True)
 class CurveBranch:
-    """A rule r -> r_tilde valid on an interval with explicit endpoint flags."""
+    """The rule 1/r_tilde = num(x)/den(x) in x = 1/r, valid on an interval
+    with explicit endpoint flags.
+
+    ``num`` and ``den`` are ascending coefficient tuples.  A vanishing
+    num(x) gives r_tilde = inf by the 1/0 = inf convention of ExtRational.
+    """
 
     branch_id: str
     lo: ExtRational
     hi: ExtRational
     lo_closed: bool
     hi_closed: bool
-    rule: Callable[[ExtRational], ExtRational]
+    num: tuple
+    den: tuple = (1,)
     open_bound: bool = False
 
     def contains(self, r: ExtRational) -> bool:
@@ -64,112 +78,69 @@ class CurveBranch:
         return True
 
     def evaluate(self, r: ExtRational) -> CurvePoint:
-        try:
-            rt = self.rule(r)
-        except ZeroDivisionError:
-            return CurvePoint(
-                r=r,
-                r_tilde=None,
-                admissible=False,
-                reason="rule undefined (pole)",
-                open_bound=self.open_bound,
-                branch_id=self.branch_id,
-            )
-        if rt.is_finite and rt <= Q(0):
-            return CurvePoint(
-                r=r,
-                r_tilde=rt,
-                admissible=False,
-                reason="r_tilde <= 0",
-                open_bound=self.open_bound,
-                branch_id=self.branch_id,
-            )
+        x = Fraction(r.denominator, r.numerator)  # inf is (1, 0), so x = 0
+        rt = ExtRational(_horner(self.den, x), _horner(self.num, x))
+        nonpositive = rt.is_finite and rt.as_fraction() <= 0
         return CurvePoint(
             r=r,
             r_tilde=rt,
-            admissible=True,
+            admissible=not nonpositive,
+            reason="r_tilde <= 0" if nonpositive else "",
             open_bound=self.open_bound,
             branch_id=self.branch_id,
         )
 
 
-def _linear_rule(a: Fraction, b: Fraction) -> Callable[[ExtRational], ExtRational]:
-    """Rule from the relation a/r_tilde + b/r = c folded as 1/r_tilde = c/a - (b/a)/r.
-
-    Stored directly as 1/r_tilde = a + b/r to keep call sites explicit.
-    """
-
-    def rule(r: ExtRational) -> ExtRational:
-        inv_rt = Q(a) + Q(b) * r.inv()
-        return inv_rt.inv()
-
-    return rule
-
-
-def _ratio_rule(num, den) -> Callable[[ExtRational], ExtRational]:
-    """Rule r -> num(r)/den(r) for polynomial coefficient lists (ascending)."""
-
-    def peval(coeffs, rf: Fraction) -> Fraction:
-        return sum((Fraction(c) * rf**i for i, c in enumerate(coeffs)), Fraction(0))
-
-    def rule(r: ExtRational) -> ExtRational:
-        rf = r.as_fraction()
-        d = peval(den, rf)
-        if d == 0:
-            raise ZeroDivisionError
-        return ExtRational(peval(num, rf) / d)
-
-    return rule
-
-
-# Velocity / gradient curves.  Relations, written as 1/r_tilde = a + b/r:
-#   k=0:  4/rt + 6/r = 3  on [2,6]   -> 1/rt = 3/4 - (3/2)/r
-#         1/rt + 3/r = 1  on [6,inf] -> 1/rt = 1 - 3/r
-#   k=1:  1/rt + 3/r = 2  on [2,3]   -> 1/rt = 2 - 3/r
-#         rt = r(r-4)/(4r^2-13r+6)   on (3,6]
-#   k=2:  2/rt + 3/r = 4  on (1,3/2) -> 1/rt = 2 - (3/2)/r
-#         rt = 2r(3r-4)/(13r^2-26r+12) on [3/2,2)
-#         1/rt + 6/r = 9  on [2,inf) -> 1/rt = 9 - 6/r
+# Velocity / gradient curves, each branch stated as 1/rt in x = 1/r:
+#   k=0:  4/rt + 6/r = 3  on [2,6]   -> 1/rt = 3/4 - (3/2)x
+#         1/rt + 3/r = 1  on [6,inf] -> 1/rt = 1 - 3x
+#   k=1:  1/rt + 3/r = 2  on [2,3]   -> 1/rt = 2 - 3x
+#         rt = r(r-4)/(4r^2-13r+6)   on (3,6]   -> 1/rt = (4 - 13x + 6x^2)/(1 - 4x)
+#   k=2:  2/rt + 3/r = 4  on (1,3/2) -> 1/rt = 2 - (3/2)x
+#         rt = 2r(3r-4)/(13r^2-26r+12) on [3/2,2) -> 1/rt = (13 - 26x + 12x^2)/(6 - 8x)
+#         1/rt + 6/r = 9  on [2,inf) -> 1/rt = 9 - 6x
 #
 # The k=1 branches are discontinuous at r=3 (values 1 vs -1); the breakpoint
 # is assigned to the first branch, whose value there is the admissible one.
+# Neither quadratic numerator has a rational root (discriminants 73 and 52),
+# so no rational r makes a ratio branch 0/0.
 _DERIVATIVE_BRANCHES = {
     0: [
-        CurveBranch("k0_energy", Q(2), Q(6), True, True, _linear_rule(Fraction(3, 4), Fraction(-3, 2))),
-        CurveBranch("k0_high", Q(6), INF, True, True, _linear_rule(Fraction(1), Fraction(-3))),
+        CurveBranch("k0_energy", Q(2), Q(6), True, True, (Fraction(3, 4), Fraction(-3, 2))),
+        CurveBranch("k0_high", Q(6), INF, True, True, (1, -3)),
     ],
     1: [
-        CurveBranch("k1_low", Q(2), Q(3), True, True, _linear_rule(Fraction(2), Fraction(-3))),
-        CurveBranch("k1_mid", Q(3), Q(6), False, True, _ratio_rule([0, -4, 1], [6, -13, 4])),
+        CurveBranch("k1_low", Q(2), Q(3), True, True, (2, -3)),
+        CurveBranch("k1_mid", Q(3), Q(6), False, True, (4, -13, 6), (1, -4)),
     ],
     2: [
-        CurveBranch("k2_low", Q(1), Q(3, 2), False, False, _linear_rule(Fraction(2), Fraction(-3, 2))),
-        CurveBranch("k2_mid", Q(3, 2), Q(2), True, False, _ratio_rule([0, -8, 6], [12, -26, 13])),
-        CurveBranch("k2_high", Q(2), INF, True, False, _linear_rule(Fraction(9), Fraction(-6))),
+        CurveBranch("k2_low", Q(1), Q(3, 2), False, False, (2, Fraction(-3, 2))),
+        CurveBranch("k2_mid", Q(3, 2), Q(2), True, False, (13, -26, 12), (6, -8)),
+        CurveBranch("k2_high", Q(2), INF, True, False, (9, -6)),
     ],
 }
 
-# Refined curves from further interpolation / Sobolev embedding.
-#   grad2:  1/rt + 1/r  > 3/2 (boundary rt = 2r/(3r-2))   on (1, 4/3]
-#           1/rt + 3/r  > 3   (boundary rt = r/(3(r-1)))  on (4/3, 3/2)
-#           1/rt + 3/r  = 3                                on [3/2, 2]
-#           1/rt + 15/r = 9                                on [2, inf)
-#   grad1:  1/rt + 3/r  = 2                                on (2, 6]
-#           1/rt + 15/r = 4                                on (6, inf)
-#   velocity: 1/rt + 3/r = 1                               on (6, inf)
+# Refined curves from further interpolation / Sobolev embedding, as 1/rt in x = 1/r:
+#   grad2:  1/rt + 1/r  > 3/2  -> boundary 1/rt = 3/2 - x    on (1, 4/3]
+#           1/rt + 3/r  > 3    -> boundary 1/rt = 3 - 3x     on (4/3, 3/2)
+#           1/rt + 3/r  = 3    -> 1/rt = 3 - 3x              on [3/2, 2]
+#           1/rt + 15/r = 9    -> 1/rt = 9 - 15x             on [2, inf)
+#   grad1:  1/rt + 3/r  = 2    -> 1/rt = 2 - 3x              on (2, 6]
+#           1/rt + 15/r = 4    -> 1/rt = 4 - 15x             on (6, inf)
+#   velocity: 1/rt + 3/r = 1   -> 1/rt = 1 - 3x              on (6, inf)
 _REFINED_BRANCHES = {
     "grad2": [
-        CurveBranch("grad2_lowest", Q(1), Q(4, 3), False, True, _ratio_rule([0, 2], [-2, 3]), open_bound=True),
-        CurveBranch("grad2_low", Q(4, 3), Q(3, 2), False, False, _ratio_rule([0, 1], [-3, 3]), open_bound=True),
-        CurveBranch("grad2_mid", Q(3, 2), Q(2), True, True, _linear_rule(Fraction(3), Fraction(-3))),
-        CurveBranch("grad2_high", Q(2), INF, True, False, _linear_rule(Fraction(9), Fraction(-15))),
+        CurveBranch("grad2_lowest", Q(1), Q(4, 3), False, True, (Fraction(3, 2), -1), open_bound=True),
+        CurveBranch("grad2_low", Q(4, 3), Q(3, 2), False, False, (3, -3), open_bound=True),
+        CurveBranch("grad2_mid", Q(3, 2), Q(2), True, True, (3, -3)),
+        CurveBranch("grad2_high", Q(2), INF, True, False, (9, -15)),
     ],
     "grad1": [
-        CurveBranch("grad1_low", Q(2), Q(6), False, True, _linear_rule(Fraction(2), Fraction(-3))),
-        CurveBranch("grad1_high", Q(6), INF, False, False, _linear_rule(Fraction(4), Fraction(-15))),
+        CurveBranch("grad1_low", Q(2), Q(6), False, True, (2, -3)),
+        CurveBranch("grad1_high", Q(6), INF, False, False, (4, -15)),
     ],
     "velocity": [
-        CurveBranch("velocity_high", Q(6), INF, False, False, _linear_rule(Fraction(1), Fraction(-3))),
+        CurveBranch("velocity_high", Q(6), INF, False, False, (1, -3)),
     ],
 }
 
@@ -230,14 +201,7 @@ def gn_shift_grad1(r: ExtRational) -> CurvePoint:
         raise OutOfRange(f"r={r} must be finite and > 1")
     r2 = (Q(3) * r) / (Q(3) + r)
     point = _evaluate(_DERIVATIVE_BRANCHES[2], r2, "k=2 (shifted)")
-    return CurvePoint(
-        r=r,
-        r_tilde=point.r_tilde,
-        admissible=point.admissible,
-        reason=point.reason,
-        open_bound=point.open_bound,
-        branch_id=f"gn_shift[{point.branch_id}]",
-    )
+    return replace(point, r=r, branch_id=f"gn_shift[{point.branch_id}]")
 
 
 def sample_curve(
@@ -259,16 +223,12 @@ def sample_curve(
         raise OutOfRange("need n >= 2 sample points")
     lo, hi = r_min.as_fraction(), r_max.as_fraction()
     step = (hi - lo) / (n - 1)
-    evaluate = (
-        (lambda r: derivative_curve(selector, r))
-        if isinstance(selector, int)
-        else (lambda r: refined_curve(selector, r))
-    )
+    evaluate = derivative_curve if isinstance(selector, int) else refined_curve
     points = []
     for i in range(n):
         r = ExtRational(lo + i * step)
         try:
-            points.append(evaluate(r))
+            points.append(evaluate(selector, r))
         except NoBranch as exc:
             points.append(
                 CurvePoint(r=r, r_tilde=None, admissible=False, reason=str(exc))

@@ -127,8 +127,10 @@ def brezis_mironescu(
     lo, hi = (p, q) if p < q else (q, p)
     if not (lo <= r <= hi):
         raise OutOfRange(f"1/r must lie between 1/p and 1/q (r={r})")
-    alpha = (r.inv() - q.inv()) / (p.inv() - q.inv())
-    return alpha, Q(1) - alpha
+    split = interp_alpha(lo, r, hi)
+    if p < q:
+        return split.alpha, split.one_minus_alpha
+    return split.one_minus_alpha, split.alpha
 
 
 def hls_target(alpha: ExtRational, r_prime: ExtRational) -> HlsTarget:

@@ -182,9 +182,6 @@ class ExtRational:
 
     # -- comparisons ----------------------------------------------------------
 
-    def _cmp_key(self):
-        return (1,) if self._frac is None else (0, self._frac)
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -244,10 +241,17 @@ INF = ExtRational._wrap(None)
 
 
 def Q(numerator, denominator=None) -> ExtRational:
-    """Shorthand constructor, also accepting strings like "3/2" and "inf"."""
+    """Shorthand constructor, also accepting strings like "3/2" and "inf".
+
+    A string "p/0" follows the ExtRational(p, 0) convention: "1/0" is inf,
+    "0/0" and "-1/0" raise UndefinedExtendedValue.
+    """
     if isinstance(numerator, str) and denominator is None:
         s = numerator.strip()
         if s == "inf":
             return INF
-        return ExtRational(Fraction(s))
+        try:
+            return ExtRational(Fraction(s))
+        except ZeroDivisionError:
+            return ExtRational(Fraction(s.partition("/")[0]), 0)
     return ExtRational(numerator, denominator)

@@ -23,7 +23,8 @@ __all__ = [
     "read_snapshot",
 ]
 
-SNAPSHOT_MAGIC = b"NAVNORM1"
+SNAPSHOT_MAGIC = b"NAVNORM2"
+_SNAPSHOT_MAGIC_V1 = b"NAVNORM1"  # header without nu; refused on read
 
 
 def _fmt(x: float) -> str:
@@ -72,20 +73,24 @@ def write_energy_json(report: EnergyReport, path) -> None:
 
 
 def write_snapshot(f: SpectralField, time: float, path) -> None:
-    """Header: magic, N (uint32), component count (uint32), time (float64);
-    payload: the complex coefficients, little-endian 64-bit floats."""
+    """Header: magic, N (uint32), component count (uint32), time (float64),
+    nu (float64); payload: the complex coefficients, little-endian 64-bit
+    floats."""
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<IId", f.N, f.coeffs.shape[0], time))
+        fh.write(struct.pack("<IIdd", f.N, f.coeffs.shape[0], time, f.nu))
         fh.write(np.ascontiguousarray(f.coeffs, dtype="<c16").tobytes())
 
 
-def read_snapshot(path, nu: float = 1.0) -> tuple[SpectralField, float]:
+def read_snapshot(path) -> tuple[SpectralField, float]:
+    """The field, with the viscosity it was written with, and its time."""
     with open(path, "rb") as fh:
         magic = fh.read(len(SNAPSHOT_MAGIC))
+        if magic == _SNAPSHOT_MAGIC_V1:
+            raise ValueError(f"{path}: snapshot format {magic!r} predates the stored viscosity")
         if magic != SNAPSHOT_MAGIC:
             raise ValueError(f"not a snapshot file: bad magic {magic!r}")
-        N, ncomp, time = struct.unpack("<IId", fh.read(16))
+        N, ncomp, time, nu = struct.unpack("<IIdd", fh.read(24))
         payload = np.frombuffer(fh.read(), dtype="<c16")
     coeffs = payload.reshape(ncomp, N, N, N // 2 + 1).astype(np.complex128)
     return SpectralField(N=N, nu=nu, coeffs=coeffs), time

@@ -80,6 +80,19 @@ def test_curves_bad_range_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "bound",
+    [["--r-min", "1/0", "--r-max", "6"], ["--r-min", "2", "--r-max", "0/0"], ["--r-min=-1/0", "--r-max", "6"]],
+    ids=["r-min-inf", "r-max-0/0", "r-min-negative-inf"],
+)
+def test_curves_zero_denominator_bound_exits_2(tmp_path, capsys, bound):
+    argv = ["curves", "--k", "0", *bound, "--samples", "5", "--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("curves: ") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["curves", "--k", "7"])
@@ -126,6 +139,15 @@ def test_bihari_bad_config_exits_2(tmp_path):
     cfg = bihari_config(tmp_path, extra="beta = 1.5\n")
     assert cli.main(["bihari", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
     assert cli.main(["bihari", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "r.json")]) == 2
+
+
+def test_bihari_unread_config_key_exits_2(tmp_path, capsys):
+    cfg = bihari_config(tmp_path, extra="N = 64\n")
+    out = tmp_path / "r.json"
+    assert cli.main(["bihari", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bihari: unread config keys N ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n", [32, 256], ids=["picard-overflows", "bound-overflows"])
@@ -185,6 +207,23 @@ def test_simulate_bad_grid_or_horizon_exits_2(tmp_path, capsys, text):
     assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("simulate: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, unread",
+    [
+        ("N = 16\ndt = 0.005\nT = 0.01\ninitial_condition = random\nseed = 7\n", "seed"),
+        ("N = 16\ndt = 0.005\nT = 0.01\nsampel_stride = 1\n", "sampel_stride"),
+    ],
+    ids=["seed", "misspelt-key"],
+)
+def test_simulate_unread_config_key_exits_2(tmp_path, capsys, text, unread):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(text)
+    assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"simulate: unread config keys {unread} ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch):

@@ -125,3 +125,56 @@ def test_rows_encode_exact_rationals():
     assert rows[0]["rtilde_num"] == 1 and rows[0]["rtilde_den"] == 0  # infinity
     assert rows[1]["rtilde_num"] == 2 and rows[1]["rtilde_den"] == 1
     assert rows[0]["r_num"] == 2 and rows[0]["r_den"] == 1
+
+
+def _inv(v):
+    """1/v exactly, with 1/inf = 0."""
+    return Fraction(0) if v.is_infinite else 1 / v.as_fraction()
+
+
+def _k1_mid(r, rt):
+    s = r.as_fraction()
+    return rt.as_fraction() == s * (s - 4) / (4 * s**2 - 13 * s + 6)
+
+
+def _k2_mid(r, rt):
+    s = r.as_fraction()
+    return rt.as_fraction() == 2 * s * (3 * s - 4) / (13 * s**2 - 26 * s + 12)
+
+
+# (selector, branch, three r including each closed endpoint, stated relation);
+# r_tilde = inf at r = 2 for k = 0 and r_tilde = 0 at r = 4 for k1_mid
+_BRANCH_RELATIONS = [
+    (0, "k0_energy", (Q(2), Q(4), Q(6)), lambda r, rt: 4 * _inv(rt) + 6 * _inv(r) == 3),
+    (0, "k0_high", (Q(6), Q(9), INF), lambda r, rt: _inv(rt) + 3 * _inv(r) == 1),
+    (1, "k1_low", (Q(2), Q(5, 2), Q(3)), lambda r, rt: _inv(rt) + 3 * _inv(r) == 2),
+    (1, "k1_mid", (Q(4), Q(5), Q(6)), _k1_mid),
+    (2, "k2_low", (Q(6, 5), Q(5, 4), Q(7, 5)), lambda r, rt: 2 * _inv(rt) + 3 * _inv(r) == 4),
+    (2, "k2_mid", (Q(3, 2), Q(7, 4), Q(19, 10)), _k2_mid),
+    (2, "k2_high", (Q(2), Q(3), Q(10)), lambda r, rt: _inv(rt) + 6 * _inv(r) == 9),
+    ("grad2", "grad2_lowest", (Q(11, 10), Q(6, 5), Q(4, 3)), lambda r, rt: _inv(rt) + _inv(r) == Fraction(3, 2)),
+    ("grad2", "grad2_low", (Q(7, 5), Q(10, 7), Q(29, 20)), lambda r, rt: _inv(rt) + 3 * _inv(r) == 3),
+    ("grad2", "grad2_mid", (Q(3, 2), Q(7, 4), Q(2)), lambda r, rt: _inv(rt) + 3 * _inv(r) == 3),
+    ("grad2", "grad2_high", (Q(2), Q(5), Q(12)), lambda r, rt: _inv(rt) + 15 * _inv(r) == 9),
+    ("grad1", "grad1_low", (Q(3), Q(4), Q(6)), lambda r, rt: _inv(rt) + 3 * _inv(r) == 2),
+    ("grad1", "grad1_high", (Q(7), Q(10), Q(30)), lambda r, rt: _inv(rt) + 15 * _inv(r) == 4),
+    ("velocity", "velocity_high", (Q(7), Q(9), Q(12)), lambda r, rt: _inv(rt) + 3 * _inv(r) == 1),
+]
+
+# closed breakpoints shared by two branches report the first branch listed
+_SHARED_BREAKPOINTS = {(0, Q(6)): "k0_energy", ("grad2", Q(2)): "grad2_mid"}
+
+
+@pytest.mark.parametrize(
+    "selector, branch, rs, relation", _BRANCH_RELATIONS, ids=[case[1] for case in _BRANCH_RELATIONS]
+)
+def test_every_branch_satisfies_its_stated_relation(selector, branch, rs, relation):
+    curve = derivative_curve if isinstance(selector, int) else refined_curve
+    for r in rs:
+        point = curve(selector, r)
+        assert point.branch_id == _SHARED_BREAKPOINTS.get((selector, r), branch)
+        assert relation(r, point.r_tilde), (branch, r, point.r_tilde)
+        positive = point.r_tilde.is_infinite or point.r_tilde > Q(0)
+        assert point.admissible == positive
+        assert point.reason == ("" if positive else "r_tilde <= 0")
+        assert point.open_bound == (branch in ("grad2_lowest", "grad2_low"))

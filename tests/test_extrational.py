@@ -16,6 +16,7 @@ def test_construction():
     assert Q("3/2") == Q(3, 2)
     assert Q("inf") is INF
     assert Q(1, 0) == INF
+    assert Q("1/0") == INF
     assert Q(Q(5)) == Q(5)
 
 

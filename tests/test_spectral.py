@@ -359,16 +359,22 @@ def test_norm_csv_roundtrip(tmp_path):
 
 
 def test_snapshot_roundtrip(tmp_path):
-    f = random_solenoidal(N, 0.1, np.random.default_rng(11))
+    f = random_solenoidal(N, 0.01, np.random.default_rng(11))
     path = tmp_path / "snap.bin"
     spio.write_snapshot(f, 0.25, path)
-    g, t = spio.read_snapshot(path, nu=0.1)
+    g, t = spio.read_snapshot(path)
     assert t == 0.25
+    assert g.nu == 0.01
     assert np.array_equal(g.coeffs, f.coeffs)
-    with pytest.raises(ValueError):
-        path2 = tmp_path / "bad.bin"
-        path2.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-        spio.read_snapshot(path2)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
+    with pytest.raises(ValueError, match="bad magic"):
+        spio.read_snapshot(bad)
+    # the first format had no viscosity in its header
+    v1 = tmp_path / "v1.bin"
+    v1.write_bytes(b"NAVNORM1" + path.read_bytes()[8:])
+    with pytest.raises(ValueError, match="predates the stored viscosity"):
+        spio.read_snapshot(v1)
 
 
 def test_energy_json(tmp_path):
