@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bihari, curves
-from .config import RunConfig, RunManifest, parse_norm_pairs
+from .config import RunConfig, RunManifest, format_float, parse_norm_pairs
 from .errors import (
     ExponentError,
     HypothesisFailed,
@@ -39,10 +40,6 @@ EXIT_BLOWUP = 4
 CURVE_COLUMNS = ["k", "r_num", "r_den", "rtilde_num", "rtilde_den", "admissible", "open_bound", "branch_id"]
 
 BIHARI_SLACK = 1e-6
-
-
-def _fmt(x: float) -> str:
-    return "inf" if x == math.inf else "%.17g" % x
 
 
 def _write_manifest(path, subcommand, config: dict, seed, outputs, t0) -> None:
@@ -175,17 +172,25 @@ def cmd_simulate(args) -> int:
             norms=parse_norm_pairs(cfg.get_str("norms", "0:6 1:3 1:2 0:2 2:2")),
         )
         snapshot_stride = cfg.get_int("snapshot_stride", 0)
+        if snapshot_stride < 0:
+            raise ValueError(f"snapshot_stride={snapshot_stride} must be >= 0")
         spectral_field.fft_workers()  # refuse a bad NAVIER_NORMS_THREADS before any transform
     except (OSError, ValueError, KeyError) as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if snapshot_stride:
-        config.keep_fields = True
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    snapshots, sample_index = [], itertools.count()
+
+    def stream_snapshot(t: float, state) -> None:
+        j = next(sample_index)
+        if j % snapshot_stride == 0:
+            snapshots.append(out_dir / f"snapshot_{j:04d}.bin")
+            spectral_io.write_snapshot(state, t, snapshots[-1])
+
     try:
-        fields, traj, report = solver.simulate(config)
+        _, traj, report = solver.simulate(config, stream_snapshot if snapshot_stride else None)
     except NonFinite as exc:
         print(f"simulate: blow-up, non-finite state at {exc}", file=sys.stderr)
         return EXIT_BLOWUP
@@ -194,12 +199,7 @@ def cmd_simulate(args) -> int:
     energy_json = out_dir / "energy.json"
     spectral_io.write_norm_csv(traj, norm_csv)
     spectral_io.write_energy_json(report, energy_json)
-    outputs = [norm_csv, energy_json]
-    if snapshot_stride and fields:
-        for idx in range(0, len(fields), snapshot_stride):
-            snap = out_dir / f"snapshot_{idx:04d}.bin"
-            spectral_io.write_snapshot(fields[idx], float(traj.times[idx]), snap)
-            outputs.append(snap)
+    outputs = [norm_csv, energy_json, *snapshots]
     _write_manifest(out_dir / "manifest.json", "simulate", dict(cfg.entries), None, outputs, t0)
     print(f"wrote {', '.join(str(p) for p in outputs[:2])}")
     return EXIT_OK
@@ -261,9 +261,9 @@ def cmd_norms(args) -> int:
         config = {
             "traj": str(args.traj),
             "k": str(args.k),
-            "r": _fmt(args.r),
+            "r": format_float(args.r),
             "rtilde": args.rtilde,
-            "theta": "" if args.theta is None else _fmt(args.theta),
+            "theta": "" if args.theta is None else format_float(args.theta),
         }
         _write_manifest(manifest, "norms", config, None, [Path(args.out)], t0)
     return EXIT_OK

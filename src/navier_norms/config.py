@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-__all__ = ["RunConfig", "RunManifest", "parse_norm_pairs"]
+__all__ = ["RunConfig", "RunManifest", "format_float", "parse_norm_pairs"]
 
 
 @dataclass
@@ -44,26 +44,21 @@ class RunConfig:
     def to_text(self) -> str:
         return "".join(f"{k} = {v}\n" for k, v in self.entries.items())
 
-    def get_str(self, key: str, default: str | None = None) -> str:
+    def _get(self, key: str, default, convert):
         if key in self.entries:
-            return self.entries[key]
+            return convert(self.entries[key])
         if default is None:
             raise KeyError(f"missing config key {key!r}")
         return default
 
+    def get_str(self, key: str, default: str | None = None) -> str:
+        return self._get(key, default, str)
+
     def get_int(self, key: str, default: int | None = None) -> int:
-        if key not in self.entries:
-            if default is None:
-                raise KeyError(f"missing config key {key!r}")
-            return default
-        return int(self.entries[key])
+        return self._get(key, default, int)
 
     def get_float(self, key: str, default: float | None = None) -> float:
-        if key not in self.entries:
-            if default is None:
-                raise KeyError(f"missing config key {key!r}")
-            return default
-        return float(self.entries[key])
+        return self._get(key, default, float)
 
     def check_keys(self, known) -> None:
         """Raise ValueError naming every key outside ``known`` in one line."""
@@ -73,6 +68,11 @@ class RunConfig:
 
     def __contains__(self, key: str) -> bool:
         return key in self.entries
+
+
+def format_float(x: float) -> str:
+    """Round-trip text of a float: 17 significant digits, or "inf"."""
+    return "inf" if x == math.inf else "%.17g" % x
 
 
 def parse_norm_pairs(text: str) -> list[tuple[int, float]]:

@@ -64,6 +64,10 @@ class NoConvergence(NavierNormsError):
         super().__init__(f"no convergence after {iterations} iterations (residual {residual:g})")
 
 
+class BoundViolated(NavierNormsError, ArithmeticError):
+    """A computed value exceeds a closed-form bound it must satisfy."""
+
+
 class ExponentInadmissible(NavierNormsError, ValueError):
     pass
 

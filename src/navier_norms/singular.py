@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import beta as beta_function
 
-from .errors import NonIntegrable
+from .errors import BoundViolated, NonIntegrable
 from .gridfn import GridFunction
 
 __all__ = [
@@ -66,9 +66,10 @@ def singular_beta_integral(T: float, s: float, theta: float, beta: float) -> Sin
         raise NonIntegrable(f"theta={theta}, beta={beta}: exponent >= 1")
     if theta < 0.0 or beta < 0.0:
         raise ValueError("theta and beta must be non-negative")
-    span = T - s
-    value = span ** (1.0 - theta - beta) * float(beta_function(1.0 - beta, 1.0 - theta))
-    bound = (1.0 / (1.0 - theta) + 1.0 / (1.0 - beta)) * (span / 2.0) ** (1.0 - theta - beta)
+    power = 1.0 - theta - beta
+    scale = (T - s) ** power  # one shared factor keeps value <= bound under rounding
+    value = scale * float(beta_function(1.0 - beta, 1.0 - theta))
+    bound = scale * ((1.0 / (1.0 - theta) + 1.0 / (1.0 - beta)) * 0.5**power)
     if math.isnan(value) or value > bound * (1.0 + 1e-12):
-        raise AssertionError("splitting bound violated; check exponents")
+        raise BoundViolated(f"value {value!r} exceeds the splitting bound {bound!r}")
     return SingularIntegral(value=value, bound=bound)

@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from ..config import format_float
 from .diagnostics import EnergyReport, NormTrajectory
 from .field import SpectralField
 
@@ -27,18 +27,12 @@ SNAPSHOT_MAGIC = b"NAVNORM2"
 _SNAPSHOT_MAGIC_V1 = b"NAVNORM1"  # header without nu; refused on read
 
 
-def _fmt(x: float) -> str:
-    if x == math.inf:
-        return "inf"
-    return "%.17g" % x
-
-
 def write_norm_csv(traj: NormTrajectory, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "k", "r", "value"])
         for t, k, r, v in traj.records():
-            writer.writerow([_fmt(t), k, _fmt(r), _fmt(v)])
+            writer.writerow([format_float(t), k, format_float(r), format_float(v)])
 
 
 def read_norm_csv(path) -> NormTrajectory:

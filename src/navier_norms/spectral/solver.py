@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,9 +35,10 @@ class SolverConfig:
     ic_params: dict = dc_field(default_factory=dict)
     sample_stride: int = 10
     norms: Sequence[tuple[int, float]] = DEFAULT_NORM_PAIRS
-    keep_fields: Optional[bool] = None  # None: keep when N <= 32
 
     def __post_init__(self):
+        if self.sample_stride < 1:
+            raise ValueError(f"sample_stride={self.sample_stride} must be >= 1")
         if not (self.dt > 0 and self.T > 0 and np.isfinite(self.T / self.dt)):
             raise ValueError(f"dt={self.dt} and T={self.T} must be positive with T/dt finite")
         sf.check_grid_size(self.N)
@@ -105,55 +106,53 @@ def step(state: sf.SpectralField, dt: float) -> sf.SpectralField:
     return sf.SpectralField(N=N, nu=nu, coeffs=new)
 
 
-def simulate(config: SolverConfig):
+def simulate(config: SolverConfig, on_sample: Callable | None = None):
     """Advance the configured initial datum to T.
 
-    Returns (sampled fields, NormTrajectory, EnergyReport).  Energy and
-    dissipation are recorded at every step from the coefficients; the
-    norm table is sampled every ``sample_stride`` steps.  Warns with
-    CFLViolation when the initial advective CFL number exceeds 0.5, and
-    raises NonFinite at the first non-finite coefficient.
+    Returns ([final state], NormTrajectory, EnergyReport).  Energy and
+    dissipation are recorded at every step from the coefficients; the norm
+    table is sampled every ``sample_stride`` steps, at t = 0 and at T, and
+    ``on_sample(t, state)`` is called once per sample time.  The hook must
+    not modify ``state``, and must copy it to keep it past the call.  Warns
+    with CFLViolation when the initial advective CFL number exceeds 0.5,
+    and raises NonFinite at the first non-finite coefficient.
     """
     state = config.make_initial_field()
     N, n_steps = config.N, config.n_steps
-    keep = config.keep_fields if config.keep_fields is not None else N <= 32
 
     umax = float(np.max(np.abs(sf.to_physical(state.coeffs, N))))
     cfl = umax * config.dt * N / (2.0 * np.pi)
     if cfl > 0.5:
-        warnings.warn(
-            f"advective CFL number {cfl:.3f} > 0.5; step may be inaccurate",
-            CFLViolation,
-            stacklevel=2,
-        )
+        message = f"advective CFL number {cfl:.3f} > 0.5; step may be inaccurate"
+        warnings.warn(message, CFLViolation, stacklevel=2)
         log.warning("CFL advisory: number %.3f exceeds 0.5", cfl)
 
     step_times, energy, dissipation = [], [], []
+    pairs = list(dict.fromkeys((int(k), float(r)) for k, r in config.norms))
+    sample_times, samples = [], {pair: [] for pair in pairs}
 
     def record_energy(t: float, f: sf.SpectralField) -> None:
         step_times.append(t)
         energy.append(0.5 * sf.spectral_l2_sq(f.coeffs, N))
         dissipation.append(config.nu * sf.spectral_gradient_l2_sq(f.coeffs, N))
 
-    record_energy(0.0, state)
-    pairs = [(int(k), float(r)) for k, r in config.norms]
-    sample_times = [0.0]
-    samples = {pair: [sf.lebesgue_norm(state, *pair)] for pair in pairs}
-    fields = [state.copy()] if keep else []
+    def sample(t: float, f: sf.SpectralField) -> None:
+        sample_times.append(t)
+        for pair in pairs:
+            samples[pair].append(sf.lebesgue_norm(f, *pair))
+        if on_sample is not None:
+            on_sample(t, f)
 
-    for i in range(n_steps):
+    record_energy(0.0, state)
+    sample(0.0, state)
+    for i in range(1, n_steps + 1):
         state = step(state, config.dt)
-        t_next = (i + 1) * config.dt
+        t = i * config.dt
         if not np.all(np.isfinite(state.coeffs.view(np.float64))):
-            raise NonFinite(time=t_next, step=i + 1)
-        record_energy(t_next, state)
-        if (i + 1) % config.sample_stride == 0 or i + 1 == n_steps:
-            if sample_times[-1] != t_next:
-                sample_times.append(t_next)
-                for pair in pairs:
-                    samples[pair].append(sf.lebesgue_norm(state, *pair))
-                if keep:
-                    fields.append(state.copy())
+            raise NonFinite(time=t, step=i)
+        record_energy(t, state)
+        if i % config.sample_stride == 0 or i == n_steps:
+            sample(t, state)
 
     traj = NormTrajectory(
         times=np.asarray(sample_times),
@@ -165,4 +164,4 @@ def simulate(config: SolverConfig):
         dissipation=np.asarray(dissipation),
         nu=config.nu,
     )
-    return fields, traj, report
+    return [state], traj, report

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from navier_norms.spectral import SolverConfig, simulate
+from navier_norms.spectral import SolverConfig, divergence_error, simulate
 
 
 @pytest.fixture(scope="session")
@@ -15,14 +15,17 @@ def tg32_run():
         T=1.0,
         sample_stride=10,
         norms=((0, 6.0), (1, 3.0), (1, 2.0), (0, 2.0), (2, 2.0)),
-        keep_fields=True,
     )
+    divergence_errors = []
     start = time.monotonic()
-    fields, traj, report = simulate(config)
+    fields, traj, report = simulate(
+        config, on_sample=lambda t, state: divergence_errors.append(divergence_error(state))
+    )
     elapsed = time.monotonic() - start
     return {
         "config": config,
-        "fields": fields,
+        "divergence_errors": divergence_errors,
+        "final": fields[-1],
         "traj": traj,
         "report": report,
         "elapsed": elapsed,
@@ -40,14 +43,12 @@ def tg64_run():
         T=1.0,
         sample_stride=5,
         norms=((0, 6.0), (1, 3.0), (1, 2.0), (0, 2.0), (2, 2.0)),
-        keep_fields=False,
     )
     start = time.monotonic()
-    fields, traj, report = simulate(config)
+    _, traj, report = simulate(config)
     elapsed = time.monotonic() - start
     return {
         "config": config,
-        "fields": fields,
         "traj": traj,
         "report": report,
         "elapsed": elapsed,

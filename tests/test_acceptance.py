@@ -26,7 +26,6 @@ from navier_norms.gridfn import (
 from navier_norms.singular import riesz_convolution, singular_beta_integral
 from navier_norms.spectral import (
     biot_savart,
-    divergence_error,
     mixed_norm,
     vorticity,
     weighted_singular_integral,
@@ -167,8 +166,8 @@ def test_criterion_6_convolution_ratio_band():
 
 def test_criterion_7_solver_physics(tg32_run):
     report_e = tg32_run["report"]
-    div_worst = max(divergence_error(f) for f in tg32_run["fields"])
-    final = tg32_run["fields"][-1]
+    div_worst = max(tg32_run["divergence_errors"])
+    final = tg32_run["final"]
     roundtrip = float(np.max(np.abs(biot_savart(vorticity(final)).coeffs - final.coeffs)))
     balance = report_e.energy_balance_residual
     leray_ok = min(report_e.leray_residuals) >= -1e-12

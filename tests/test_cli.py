@@ -4,12 +4,15 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from navier_norms import cli
 from navier_norms.config import RunConfig, parse_norm_pairs
+from navier_norms.spectral import io as spectral_io
 
 
 # -- config parsing -----------------------------------------------------------
@@ -190,6 +193,40 @@ def test_simulate_writes_artifacts(small_run):
     assert energy["energy"][0] == pytest.approx(math.pi**3, rel=1e-12)
 
 
+def test_simulate_writes_snapshots(tmp_path):
+    cfg = tmp_path / "sim.cfg"
+    # 9 steps at sample stride 2: samples at steps 0, 2, 4, 6, 8 and the short final 9
+    cfg.write_text("N = 16\nnu = 0.1\ndt = 0.005\nT = 0.045\nsample_stride = 2\nsnapshot_stride = 2\n")
+    out_dir = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+    snaps = sorted(p.name for p in out_dir.glob("snapshot_*.bin"))
+    assert snaps == ["snapshot_0000.bin", "snapshot_0002.bin", "snapshot_0004.bin"]
+    times = spectral_io.read_norm_csv(out_dir / "norms.csv").times
+    assert len(times) == 6
+    for name in snaps:
+        field, t = spectral_io.read_snapshot(out_dir / name)
+        assert t == times[int(name[9:13])]
+        assert field.nu == 0.1 and field.N == 16
+    outputs = json.loads((out_dir / "manifest.json").read_text())["outputs"]
+    assert [Path(p).name for p in outputs if "snapshot_" in p] == snaps
+
+
+def test_simulate_blowup_keeps_streamed_snapshots(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("N = 8\nnu = 1e-4\ndt = 10.0\nT = 100.0\nsample_stride = 1\nsnapshot_stride = 1\n")
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("ignore")
+        assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)]) == 4
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("simulate: blow-up")
+    blowup_step = int(last.rsplit("(step ", 1)[1].rstrip(")"))
+    assert blowup_step > 1
+    snaps = sorted(p.name for p in out_dir.glob("snapshot_*.bin"))
+    assert snaps == [f"snapshot_{j:04d}.bin" for j in range(blowup_step)]
+    assert not (out_dir / "manifest.json").exists() and not (out_dir / "norms.csv").exists()
+
+
 def test_simulate_bad_config_exits_2(tmp_path):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("N = 16\nnorms = bogus\n")
@@ -198,8 +235,13 @@ def test_simulate_bad_config_exits_2(tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    ["N = 12\n", "N = 16\nT = 1.0\ndt = 0.3\n"],
-    ids=["N-not-power-of-two", "T-not-whole-steps"],
+    [
+        "N = 12\n",
+        "N = 16\nT = 1.0\ndt = 0.3\n",
+        "N = 8\ndt = 0.01\nT = 0.01\nsample_stride = 0\n",
+        "N = 8\ndt = 0.01\nT = 0.02\nsnapshot_stride = -1\n",
+    ],
+    ids=["N-not-power-of-two", "T-not-whole-steps", "sample-stride-0", "snapshot-stride-negative"],
 )
 def test_simulate_bad_grid_or_horizon_exits_2(tmp_path, capsys, text):
     cfg = tmp_path / "sim.cfg"

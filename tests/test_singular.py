@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from navier_norms.errors import NonIntegrable
+from navier_norms import singular
+from navier_norms.errors import BoundViolated, NonIntegrable
 from navier_norms.gridfn import GridFunction
 from navier_norms.singular import riesz_convolution, singular_beta_integral
 
@@ -106,3 +107,17 @@ def test_beta_integral_rejects_nan(position):
     args[position] = math.nan
     with pytest.raises(ValueError, match="non-finite"):
         singular_beta_integral(*args)
+
+
+@pytest.mark.parametrize("theta, beta", [(0.0, 0.0), (0.5, 0.25), (0.3, 0.6)])
+def test_beta_integral_subnormal_span(theta, beta):
+    # at the smallest subnormal span, span / 2 underflows to 0; value and
+    # bound share one span factor, so rounding cannot put the value above
+    out = singular_beta_integral(5e-324, 0.0, theta, beta)
+    assert 0.0 < out.value <= out.bound
+
+
+def test_beta_integral_bound_violation_is_library_error(monkeypatch):
+    monkeypatch.setattr(singular, "beta_function", lambda a, b: 10.0)
+    with pytest.raises(BoundViolated, match="splitting bound"):
+        singular_beta_integral(1.0, 0.0, 0.0, 0.0)

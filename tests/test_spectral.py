@@ -222,6 +222,18 @@ def test_simulate_is_deterministic():
     assert np.array_equal(r1.energy, r2.energy)
 
 
+def test_on_sample_hook_sees_every_sample_once():
+    # 9 steps at stride 2: samples at steps 0, 2, 4, 6, 8 and the short final 9
+    config = SolverConfig(N=16, nu=0.1, dt=0.005, T=0.045, sample_stride=2)
+    seen = []
+    fields, traj, _ = simulate(config, on_sample=lambda t, state: seen.append((t, state)))
+    times = [t for t, _ in seen]
+    assert times == list(traj.times)
+    assert times[0] == 0.0 and len(set(times)) == len(times) == 6
+    assert times[-1] == pytest.approx(config.T, rel=1e-12)
+    assert len(fields) == 1 and np.array_equal(fields[0].coeffs, seen[-1][1].coeffs)
+
+
 def test_unforced_energy_decays():
     config = SolverConfig(N=16, nu=0.2, dt=5e-3, T=0.1, sample_stride=4)
     _, _, report = simulate(config)
@@ -266,6 +278,8 @@ def test_solver_config_validation():
         SolverConfig(N=16, T=1.0, dt=0.3)
     with pytest.raises(ValueError):
         SolverConfig(N=16, T=math.inf)
+    with pytest.raises(ValueError, match="sample_stride"):
+        SolverConfig(N=8, dt=0.01, T=0.01, sample_stride=0)
     with pytest.raises(ValueError):
         SolverConfig(N=16, initial_condition="vortex").make_initial_field()
 
