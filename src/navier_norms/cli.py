@@ -20,16 +20,7 @@ import numpy as np
 
 from . import __version__, bihari, curves
 from .config import RunConfig, RunManifest, format_float, parse_norm_pairs
-from .errors import (
-    ExponentError,
-    HypothesisFailed,
-    MissingSamples,
-    NoBranch,
-    NoConvergence,
-    NonFinite,
-    NonIntegrable,
-    UndefinedExtendedValue,
-)
+from .errors import HypothesisFailed, NavierNormsError, NoConvergence, NonFinite, NonIntegrable
 from .extrational import Q
 
 EXIT_OK = 0
@@ -40,6 +31,17 @@ EXIT_BLOWUP = 4
 CURVE_COLUMNS = ["k", "r_num", "r_den", "rtilde_num", "rtilde_den", "admissible", "open_bound", "branch_id"]
 
 BIHARI_SLACK = 1e-6
+
+# simulate config keys passed to SolverConfig, with their converters
+SOLVER_KEYS = {
+    "N": int,
+    "nu": float,
+    "dt": float,
+    "T": float,
+    "initial_condition": str,
+    "sample_stride": int,
+    "norms": parse_norm_pairs,
+}
 
 
 def _write_manifest(path, subcommand, config: dict, seed, outputs, t0) -> None:
@@ -56,11 +58,7 @@ def _write_manifest(path, subcommand, config: dict, seed, outputs, t0) -> None:
 def cmd_curves(args) -> int:
     t0 = time.monotonic()
     selector = args.k if args.k is not None else args.target
-    try:
-        points = curves.sample_curve(selector, Q(args.r_min), Q(args.r_max), args.samples)
-    except (ExponentError, NoBranch, ValueError, UndefinedExtendedValue) as exc:
-        print(f"curves: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    points = curves.sample_curve(selector, Q(args.r_min), Q(args.r_max), args.samples)
     rows = curves.curve_points_to_rows(selector, points)
     out = Path(args.out)
     with open(out, "w", newline="", encoding="utf-8") as fh:
@@ -85,22 +83,22 @@ def cmd_curves(args) -> int:
 
 def cmd_bihari(args) -> int:
     t0 = time.monotonic()
-    try:
-        cfg = RunConfig.from_file(args.config)
-        cfg.check_keys(("n", "T", "trials", "seed", "beta", "gamma"))
-        n = cfg.get_int("n", 256)
-        T = cfg.get_float("T", 1.0)
-        trials = cfg.get_int("trials", 100)
-        seed = args.seed if args.seed is not None else cfg.get_int("seed", 0)
-        beta = cfg.get_float("beta") if "beta" in cfg else None
-        gamma = cfg.get_float("gamma") if "gamma" in cfg else None
-        if beta is not None and not (0.0 <= beta < 1.0):
-            raise ValueError(f"beta={beta} outside [0,1)")
-        if gamma is not None and not (0.0 < gamma <= 1.0):
-            raise ValueError(f"gamma={gamma} outside (0,1]")
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"bihari: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = RunConfig.from_file(args.config)
+    cfg.check_keys(("n", "T", "trials", "seed", "beta", "gamma"))
+    n = cfg.get_int("n", 256)
+    T = cfg.get_float("T", 1.0)
+    trials = cfg.get_int("trials", 100)
+    seed = args.seed if args.seed is not None else cfg.get_int("seed", 0)
+    beta = cfg.get_float("beta") if "beta" in cfg else None
+    gamma = cfg.get_float("gamma") if "gamma" in cfg else None
+    if n < 1 or trials < 1:
+        raise ValueError(f"n={n} and trials={trials} must be >= 1")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"T={T} outside (0, inf)")
+    if beta is not None and not (0.0 <= beta < 1.0):
+        raise ValueError(f"beta={beta} outside [0,1)")
+    if gamma is not None and not (0.0 < gamma <= 1.0):
+        raise ValueError(f"gamma={gamma} outside (0,1]")
 
     rng = np.random.default_rng(seed)
     trial_reports = []
@@ -157,27 +155,16 @@ def cmd_bihari(args) -> int:
 def cmd_simulate(args) -> int:
     from .spectral import field as spectral_field, io as spectral_io, solver
     t0 = time.monotonic()
-    try:
-        cfg = RunConfig.from_file(args.config)
-        cfg.check_keys(
-            ("N", "nu", "dt", "T", "initial_condition", "sample_stride", "norms", "snapshot_stride")
-        )
-        config = solver.SolverConfig(
-            N=cfg.get_int("N", 32),
-            nu=cfg.get_float("nu", 0.1),
-            dt=cfg.get_float("dt", 1e-3),
-            T=cfg.get_float("T", 1.0),
-            initial_condition=cfg.get_str("initial_condition", "taylor_green"),
-            sample_stride=cfg.get_int("sample_stride", 10),
-            norms=parse_norm_pairs(cfg.get_str("norms", "0:6 1:3 1:2 0:2 2:2")),
-        )
-        snapshot_stride = cfg.get_int("snapshot_stride", 0)
-        if snapshot_stride < 0:
-            raise ValueError(f"snapshot_stride={snapshot_stride} must be >= 0")
-        spectral_field.fft_workers()  # refuse a bad NAVIER_NORMS_THREADS before any transform
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = RunConfig.from_file(args.config)
+    cfg.check_keys((*SOLVER_KEYS, "snapshot_stride"))
+    # only the keys the file sets; SolverConfig holds the defaults
+    config = solver.SolverConfig(
+        **{key: convert(cfg.entries[key]) for key, convert in SOLVER_KEYS.items() if key in cfg}
+    )
+    snapshot_stride = cfg.get_int("snapshot_stride", 0)
+    if snapshot_stride < 0:
+        raise ValueError(f"snapshot_stride={snapshot_stride} must be >= 0")
+    spectral_field.fft_workers()  # refuse a bad NAVIER_NORMS_THREADS before any transform
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -227,31 +214,28 @@ def _curve_verdict(k: int, r: float, r_tilde: float) -> str:
 def cmd_norms(args) -> int:
     from .spectral import diagnostics, io as spectral_io
     t0 = time.monotonic()
-    try:
-        if args.theta is not None and args.theta >= 1.0:
-            raise NonIntegrable(f"theta={args.theta} >= 1")
-        r_tilde = math.inf if args.rtilde.lower() == "inf" else float(args.rtilde)
-        traj = spectral_io.read_norm_csv(args.traj)
-    except (OSError, ValueError) as exc:
-        print(f"norms: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    r_tilde = float(args.rtilde)  # "inf" included
+    if math.isnan(args.r) or math.isnan(r_tilde):
+        raise ValueError(f"r={args.r} and r_tilde={args.rtilde} must be numbers")
+    for name, value in (("theta", args.theta), ("T", args.T)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name}={value} must be finite")
+    if args.theta is not None and args.theta >= 1.0:
+        raise NonIntegrable(f"theta={args.theta} >= 1")
+    traj = spectral_io.read_norm_csv(args.traj)
 
     result = {
         "k": args.k,
         "r": args.r,
         "r_tilde": "inf" if r_tilde == math.inf else r_tilde,
         "verdict": _curve_verdict(args.k, args.r, r_tilde),
+        "mixed_norm": diagnostics.mixed_norm(traj, args.k, args.r, r_tilde),
     }
-    try:
-        result["mixed_norm"] = diagnostics.mixed_norm(traj, args.k, args.r, r_tilde)
-        if args.theta is not None:
-            result["theta"] = args.theta
-            result["weighted_integral"] = diagnostics.weighted_singular_integral(
-                traj, args.k, args.r, args.theta, T=args.T
-            )
-    except (ValueError, MissingSamples) as exc:
-        print(f"norms: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.theta is not None:
+        result["theta"] = args.theta
+        result["weighted_integral"] = diagnostics.weighted_singular_integral(
+            traj, args.k, args.r, args.theta, T=args.T
+        )
 
     text = json.dumps(result, indent=2)
     print(text)
@@ -314,8 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; any refused input, unreadable file or unwritable
+    output becomes one stderr line and exit 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (NavierNormsError, OSError, ValueError) as exc:
+        print(f"{args.subcommand}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

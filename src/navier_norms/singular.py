@@ -60,14 +60,15 @@ def singular_beta_integral(T: float, s: float, theta: float, beta: float) -> Sin
     """
     if not all(map(math.isfinite, (T, s, theta, beta))):
         raise ValueError(f"non-finite argument: T={T}, s={s}, theta={theta}, beta={beta}")
-    if T <= s:
-        raise ValueError(f"need T > s, got T={T}, s={s}")
+    span = T - s
+    if not 0.0 < span < math.inf:
+        raise ValueError(f"need a finite span 0 < T - s, got T={T}, s={s}, span {span}")
     if theta >= 1.0 or beta >= 1.0:
         raise NonIntegrable(f"theta={theta}, beta={beta}: exponent >= 1")
     if theta < 0.0 or beta < 0.0:
         raise ValueError("theta and beta must be non-negative")
     power = 1.0 - theta - beta
-    scale = (T - s) ** power  # one shared factor keeps value <= bound under rounding
+    scale = span**power  # one shared factor keeps value <= bound under rounding
     value = scale * float(beta_function(1.0 - beta, 1.0 - theta))
     bound = scale * ((1.0 / (1.0 - theta) + 1.0 / (1.0 - beta)) * 0.5**power)
     if math.isnan(value) or value > bound * (1.0 + 1e-12):

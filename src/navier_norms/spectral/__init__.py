@@ -13,7 +13,6 @@ from .field import (
     divergence_error,
     init_taylor_green,
     lebesgue_norm,
-    leray_project,
     random_solenoidal,
     vorticity,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "gn_check",
     "init_taylor_green",
     "lebesgue_norm",
-    "leray_project",
     "mixed_norm",
     "random_solenoidal",
     "simulate",

@@ -29,7 +29,6 @@ __all__ = [
     "to_spectral",
     "dealias",
     "leray_project_coeffs",
-    "leray_project",
     "init_taylor_green",
     "random_solenoidal",
     "vorticity",
@@ -38,10 +37,22 @@ __all__ = [
     "spectral_l2_sq",
     "spectral_gradient_l2_sq",
     "lebesgue_norm",
+    "SYM_PAIRS",
+    "SYM_INDEX",
 ]
 
 TWO_PI = 2.0 * np.pi
 BOX_VOLUME = TWO_PI**3
+
+# the six independent entries (b, c) of a symmetric 3x3 tensor, such as
+# u_b u_c or d_b d_c, and the flat index of every (b, c) within them
+SYM_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+SYM_INDEX = {(b, c): i for i, (b, c) in enumerate(SYM_PAIRS)}
+SYM_INDEX.update({(c, b): i for i, (b, c) in enumerate(SYM_PAIRS)})
+
+# each of the 27 second derivatives d_b d_c u_a, in (a, b, c) order, as an
+# index into the 18 distinct ones (a major, then SYM_PAIRS)
+_HESSIAN_INDEX = [6 * a + SYM_INDEX[b, c] for a in range(3) for b in range(3) for c in range(3)]
 
 
 def fft_workers() -> int:
@@ -139,16 +150,12 @@ def leray_project_coeffs(coeffs: np.ndarray, N: int) -> np.ndarray:
     kx, ky, kz, k2 = wavenumbers(N)
     k2_safe = np.where(k2 == 0, 1.0, k2)
     kdotu = kx * coeffs[0] + ky * coeffs[1] + kz * coeffs[2]
-    factor = np.where(k2 == 0, 0.0, kdotu / k2_safe)
+    factor = kdotu / k2_safe  # k.uhat is 0 at k = 0
     out = coeffs.copy()
     out[0] -= kx * factor
     out[1] -= ky * factor
     out[2] -= kz * factor
     return out
-
-
-def leray_project(f: SpectralField) -> SpectralField:
-    return SpectralField(N=f.N, nu=f.nu, coeffs=leray_project_coeffs(f.coeffs, f.N))
 
 
 def init_taylor_green(N: int, nu: float) -> SpectralField:
@@ -231,7 +238,8 @@ def spectral_gradient_l2_sq(coeffs: np.ndarray, N: int) -> float:
 
 
 def _derivative_stack(f: SpectralField, k: int) -> np.ndarray:
-    """Spectral coefficients of all order-k derivative components."""
+    """Spectral coefficients of the distinct order-k derivative components:
+    u_a, d_b u_a, or the 18 d_b d_c u_a with (b, c) in SYM_PAIRS."""
     if k == 0:
         return f.coeffs
     kx, ky, kz, _ = wavenumbers(f.N)
@@ -239,19 +247,19 @@ def _derivative_stack(f: SpectralField, k: int) -> np.ndarray:
     if k == 1:
         return np.stack([1j * kb * f.coeffs[a] for a in range(3) for kb in kvec])
     if k == 2:
-        return np.stack(
-            [-kb * kc * f.coeffs[a] for a in range(3) for kb in kvec for kc in kvec]
-        )
+        return np.stack([-kvec[b] * kvec[c] * f.coeffs[a] for a in range(3) for b, c in SYM_PAIRS])
     raise ValueError(f"derivative order k={k} outside 0..2")
 
 
 def lebesgue_norm(f: SpectralField, k: int, r: float) -> float:
     """Spatial L^r norm of |grad^k u| (Frobenius magnitude of the full
     derivative tensor), by collocation-grid quadrature; max for r = inf."""
-    if r != np.inf and r < 1:
+    if not r >= 1:
         raise ValueError(f"r={r} must be >= 1 or inf")
-    comps = to_physical(_derivative_stack(f, k), f.N)
-    mag = np.sqrt(np.sum(comps**2, axis=0))
+    squares = to_physical(_derivative_stack(f, k), f.N) ** 2
+    if k == 2:  # all 27 squares, in (a, b, c) order
+        squares = squares[_HESSIAN_INDEX]
+    mag = np.sqrt(np.sum(squares, axis=0))
     if r == np.inf:
         return float(mag.max())
     return float(np.mean(mag**r) * BOX_VOLUME) ** (1.0 / r)

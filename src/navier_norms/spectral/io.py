@@ -25,12 +25,13 @@ __all__ = [
 
 SNAPSHOT_MAGIC = b"NAVNORM2"
 _SNAPSHOT_MAGIC_V1 = b"NAVNORM1"  # header without nu; refused on read
+NORM_COLUMNS = ("t", "k", "r", "value")
 
 
 def write_norm_csv(traj: NormTrajectory, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "k", "r", "value"])
+        writer.writerow(NORM_COLUMNS)
         for t, k, r, v in traj.records():
             writer.writerow([format_float(t), k, format_float(r), format_float(v)])
 
@@ -38,7 +39,10 @@ def write_norm_csv(traj: NormTrajectory, path) -> None:
 def read_norm_csv(path) -> NormTrajectory:
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")  # a short row fails float("")
+        missing = [name for name in NORM_COLUMNS if name not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing column {', '.join(missing)}")
         for row in reader:
             rows.append(
                 (float(row["t"]), int(row["k"]), float(row["r"]), float(row["value"]))

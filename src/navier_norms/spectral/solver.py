@@ -23,6 +23,7 @@ __all__ = ["SolverConfig", "nonlinear_term", "step", "simulate"]
 log = logging.getLogger(__name__)
 
 DEFAULT_NORM_PAIRS = ((0, 6.0), (1, 3.0), (1, 2.0), (0, 2.0), (2, 2.0))
+INITIAL_CONDITIONS = ("taylor_green", "random")
 
 
 @dataclass
@@ -39,6 +40,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.sample_stride < 1:
             raise ValueError(f"sample_stride={self.sample_stride} must be >= 1")
+        if not 0.0 < self.nu < np.inf:
+            raise ValueError(f"nu={self.nu} outside (0, inf)")
+        if self.initial_condition not in INITIAL_CONDITIONS:
+            raise ValueError(f"initial_condition {self.initial_condition!r} not in {INITIAL_CONDITIONS}")
+        for k, r in self.norms:
+            if k not in (0, 1, 2) or not r >= 1:
+                raise ValueError(f"norm pair {k}:{r} needs k in 0, 1, 2 and r >= 1 or inf")
         if not (self.dt > 0 and self.T > 0 and np.isfinite(self.T / self.dt)):
             raise ValueError(f"dt={self.dt} and T={self.T} must be positive with T/dt finite")
         sf.check_grid_size(self.N)
@@ -55,19 +63,8 @@ class SolverConfig:
     def make_initial_field(self) -> sf.SpectralField:
         if self.initial_condition == "taylor_green":
             return sf.init_taylor_green(self.N, self.nu)
-        if self.initial_condition == "random":
-            rng = np.random.default_rng(int(self.ic_params.get("seed", 0)))
-            return sf.random_solenoidal(
-                self.N, self.nu, rng, decay=float(self.ic_params.get("decay", 2.0))
-            )
-        raise ValueError(f"unknown initial_condition {self.initial_condition!r}")
-
-
-# the six independent entries of the symmetric tensor u_a u_b,
-# and the flat index of (a, b) within them
-_SYM_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-_SYM_INDEX = {(a, b): i for i, (a, b) in enumerate(_SYM_PAIRS)}
-_SYM_INDEX.update({(b, a): i for i, (a, b) in enumerate(_SYM_PAIRS)})
+        rng = np.random.default_rng(int(self.ic_params.get("seed", 0)))
+        return sf.random_solenoidal(self.N, self.nu, rng, decay=float(self.ic_params.get("decay", 2.0)))
 
 
 def nonlinear_term(coeffs: np.ndarray, N: int) -> np.ndarray:
@@ -80,13 +77,13 @@ def nonlinear_term(coeffs: np.ndarray, N: int) -> np.ndarray:
     kx, ky, kz, _ = sf.wavenumbers(N)
     kvec = (kx, ky, kz)
     u = sf.to_physical(sf.dealias(coeffs, N), N)
-    prod_hat = sf.to_spectral(np.stack([u[a] * u[b] for a, b in _SYM_PAIRS]))
+    prod_hat = sf.to_spectral(np.stack([u[a] * u[b] for a, b in sf.SYM_PAIRS]))
     out = np.empty_like(coeffs)
     for a in range(3):
         out[a] = -1j * (
-            kvec[0] * prod_hat[_SYM_INDEX[a, 0]]
-            + kvec[1] * prod_hat[_SYM_INDEX[a, 1]]
-            + kvec[2] * prod_hat[_SYM_INDEX[a, 2]]
+            kvec[0] * prod_hat[sf.SYM_INDEX[a, 0]]
+            + kvec[1] * prod_hat[sf.SYM_INDEX[a, 1]]
+            + kvec[2] * prod_hat[sf.SYM_INDEX[a, 2]]
         )
     return sf.dealias(sf.leray_project_coeffs(out, N), N)
 

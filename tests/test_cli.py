@@ -364,6 +364,58 @@ def test_norms_missing_series_exits_2(small_run, capsys):
     assert code == 2
 
 
+NORMS_CSV = "t,k,r,value\n0,0,2,1.5\n0.5,0,2,1.25\n1,0,2,1\n"
+REFUSED_AT_ENTRY = {
+    "curves-out-missing-dir": ["curves", "--k", "0", "--r-min", "2", "--r-max", "6", "--out", "{tmp}/no/x.csv"],
+    "simulate-out-dir-is-file": ["simulate", "--config", "{cfg:N = 8\ndt = 0.01\nT = 0.01\n}", "--out-dir", "{cfg:}"],
+    "bihari-n-0": ["bihari", "--config", "{cfg:n = 0\ntrials = 1\n}", "--out", "{tmp}/r.json"],
+    "bihari-n-negative": ["bihari", "--config", "{cfg:n = -1\ntrials = 1\n}", "--out", "{tmp}/r.json"],
+    "bihari-T-negative": ["bihari", "--config", "{cfg:n = 8\ntrials = 1\nT = -1\n}", "--out", "{tmp}/r.json"],
+    "bihari-T-0": ["bihari", "--config", "{cfg:n = 8\ntrials = 1\nT = 0\n}", "--out", "{tmp}/r.json"],
+    "bihari-trials-negative": ["bihari", "--config", "{cfg:n = 8\ntrials = -1\n}", "--out", "{tmp}/r.json"],
+    "simulate-nu-negative": ["simulate", "--config", "{cfg:N = 8\ndt = 0.01\nT = 0.01\nnu = -1\n}", "--out-dir", "{tmp}/o"],
+    "simulate-nu-0": ["simulate", "--config", "{cfg:N = 8\ndt = 0.01\nT = 0.01\nnu = 0\n}", "--out-dir", "{tmp}/o"],
+    "simulate-nu-nan": ["simulate", "--config", "{cfg:N = 8\ndt = 0.01\nT = 0.01\nnu = nan\n}", "--out-dir", "{tmp}/o"],
+    "simulate-unknown-ic": [
+        "simulate", "--config", "{cfg:N = 8\ndt = 0.01\nT = 0.01\ninitial_condition = vortex\n}", "--out-dir", "{tmp}/o"
+    ],
+    "simulate-norm-k-3": ["simulate", "--config", "{cfg:N = 8\ndt = 0.01\nT = 0.01\nnorms = 3:2\n}", "--out-dir", "{tmp}/o"],
+    "simulate-norm-r-half": [
+        "simulate", "--config", "{cfg:N = 8\ndt = 0.01\nT = 0.01\nnorms = 0:0.5\n}", "--out-dir", "{tmp}/o"
+    ],
+    "simulate-norm-r-nan": ["simulate", "--config", "{cfg:N = 8\ndt = 0.01\nT = 0.01\nnorms = 0:nan\n}", "--out-dir", "{tmp}/o"],
+    "norms-missing-value-column": ["norms", "--traj", "{cfg:t,k,r\n0,0,2\n}", "--k", "0", "--r", "2", "--rtilde", "2"],
+    "norms-short-row": ["norms", "--traj", "{cfg:t,k,r,value\n0,0,2,1\n1,0,2\n}", "--k", "0", "--r", "2", "--rtilde", "2"],
+    "norms-theta-nan": ["norms", "--traj", "{csv}", "--k", "0", "--r", "2", "--rtilde", "2", "--theta", "nan"],
+    "norms-rtilde-nan": ["norms", "--traj", "{csv}", "--k", "0", "--r", "2", "--rtilde", "nan"],
+    "norms-T-nan": ["norms", "--traj", "{csv}", "--k", "0", "--r", "2", "--rtilde", "2", "--theta", "0.2", "--T", "nan"],
+    "norms-T-inf": ["norms", "--traj", "{csv}", "--k", "0", "--r", "2", "--rtilde", "2", "--theta", "0.2", "--T", "inf"],
+}
+
+
+@pytest.mark.parametrize("argv", REFUSED_AT_ENTRY.values(), ids=REFUSED_AT_ENTRY.keys())
+def test_refused_at_entry_exits_2(tmp_path, capsys, argv):
+    # "{cfg:TEXT}" becomes a fresh file holding TEXT, "{csv}" a valid norms.csv;
+    # every output path below tmp_path must stay absent
+    inputs = iter(range(len(argv)))
+
+    def expand(arg):
+        if arg == "{csv}":
+            arg = "{cfg:" + NORMS_CSV + "}"
+        if arg.startswith("{cfg:"):
+            path = tmp_path / f"input{next(inputs)}"
+            path.write_text(arg[5:-1])
+            return str(path)
+        return arg.replace("{tmp}", str(tmp_path))
+
+    argv = [expand(arg) for arg in argv]
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

@@ -109,6 +109,12 @@ def test_beta_integral_rejects_nan(position):
         singular_beta_integral(*args)
 
 
+def test_beta_integral_rejects_overflowing_span():
+    # both endpoints are finite, but T - s is not
+    with pytest.raises(ValueError, match="span"):
+        singular_beta_integral(1e308, -1e308, 0.5, 0.25)
+
+
 @pytest.mark.parametrize("theta, beta", [(0.0, 0.0), (0.5, 0.25), (0.3, 0.6)])
 def test_beta_integral_subnormal_span(theta, beta):
     # at the smallest subnormal span, span / 2 underflows to 0; value and

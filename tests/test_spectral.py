@@ -28,6 +28,7 @@ from navier_norms.spectral.field import (
     leray_project_coeffs,
     spectral_gradient_l2_sq,
     spectral_l2_sq,
+    to_physical,
     wavenumbers,
 )
 from navier_norms.spectral.solver import nonlinear_term
@@ -142,6 +143,22 @@ def test_lebesgue_norm_rejects_small_r():
     f = init_taylor_green(N, 0.1)
     with pytest.raises(ValueError):
         lebesgue_norm(f, 0, 0.5)
+    with pytest.raises(ValueError):
+        lebesgue_norm(f, 0, math.nan)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("ic", ["taylor_green", "random"])
+def test_second_derivative_norm_matches_dense_27_components(n, ic):
+    # the k = 2 norm transforms the 18 distinct d_b d_c u_a; summing all 27
+    # squares in (a, b, c) order must reproduce the dense form bit for bit
+    f = init_taylor_green(n, 0.1) if ic == "taylor_green" else random_solenoidal(n, 0.1, np.random.default_rng(5))
+    kvec = wavenumbers(n)[:3]
+    dense = np.stack([-kb * kc * f.coeffs[a] for a in range(3) for kb in kvec for kc in kvec])
+    mag = np.sqrt(np.sum(to_physical(dense, n) ** 2, axis=0))
+    for r in (1.0, 2.0, 3.0, 6.0, math.inf):
+        expected = float(mag.max()) if r == math.inf else float(np.mean(mag**r) * BOX_VOLUME) ** (1.0 / r)
+        assert lebesgue_norm(f, 2, r) == expected
 
 
 def test_divergence_error_zero_field():
@@ -282,6 +299,14 @@ def test_solver_config_validation():
         SolverConfig(N=8, dt=0.01, T=0.01, sample_stride=0)
     with pytest.raises(ValueError):
         SolverConfig(N=16, initial_condition="vortex").make_initial_field()
+    for nu in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="nu="):
+            SolverConfig(N=16, nu=nu)
+    with pytest.raises(ValueError, match="initial_condition"):
+        SolverConfig(N=16, initial_condition="vortex")
+    for pair in ((3, 2.0), (-1, 2.0), (0, 0.5), (0, math.nan)):
+        with pytest.raises(ValueError, match="norm pair"):
+            SolverConfig(N=16, norms=[pair])
 
 
 # -- time diagnostics ---------------------------------------------------------
