@@ -77,7 +77,8 @@ class NonIntegrable(NavierNormsError, ValueError):
 
 
 class MissingSamples(NavierNormsError, KeyError):
-    pass
+    def __str__(self) -> str:
+        return Exception.__str__(self)  # KeyError.__str__ would quote the message
 
 
 class NonFinite(NavierNormsError, FloatingPointError):

@@ -14,9 +14,9 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "SpectralField",
@@ -25,10 +25,13 @@ __all__ = [
     "wavenumbers",
     "hermitian_weights",
     "dealias_mask",
+    "KeptModes",
+    "kept_modes",
     "to_physical",
     "to_spectral",
     "dealias",
     "leray_project_coeffs",
+    "leray_project_in_place",
     "init_taylor_green",
     "random_solenoidal",
     "vorticity",
@@ -108,6 +111,26 @@ def dealias_mask(N: int) -> np.ndarray:
     return (np.abs(kx) <= cut) & (np.abs(ky) <= cut) & (np.abs(kz) <= cut)
 
 
+class KeptModes(NamedTuple):
+    """The modes the 2/3 rule keeps: their flat index into one component of
+    the spectral layout, the wavenumber components there, and |k|^2 with
+    the zero mode set to 1 so that it can divide."""
+
+    index: np.ndarray
+    kx: np.ndarray
+    ky: np.ndarray
+    kz: np.ndarray
+    k2_safe: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def kept_modes(N: int) -> KeptModes:
+    mask = dealias_mask(N)
+    index = np.flatnonzero(mask)
+    kx, ky, kz, k2 = (np.broadcast_to(k, mask.shape).ravel()[index] for k in wavenumbers(N))
+    return KeptModes(index, kx, ky, kz, np.where(k2 == 0, 1.0, k2))
+
+
 @dataclass
 class SpectralField:
     """Velocity field as forward-normalised real-transform coefficients."""
@@ -118,8 +141,8 @@ class SpectralField:
 
     def __post_init__(self):
         check_grid_size(self.N)
-        if self.nu <= 0:
-            raise ValueError(f"nu={self.nu} must be positive")
+        if not 0.0 < self.nu < np.inf:
+            raise ValueError(f"nu={self.nu} outside (0, inf)")
         expected = (3, self.N, self.N, self.N // 2 + 1)
         if self.coeffs.shape != expected:
             raise ValueError(f"coeffs shape {self.coeffs.shape}, expected {expected}")
@@ -130,6 +153,8 @@ class SpectralField:
 
 def to_physical(coeffs: np.ndarray, N: int) -> np.ndarray:
     """Inverse transform to the N^3 collocation grid (any leading axes)."""
+    import scipy.fft  # here, so that importing the package loads no scipy
+
     return scipy.fft.irfftn(
         coeffs, s=(N, N, N), axes=(-3, -2, -1), norm="forward", workers=fft_workers()
     )
@@ -137,6 +162,8 @@ def to_physical(coeffs: np.ndarray, N: int) -> np.ndarray:
 
 def to_spectral(u: np.ndarray) -> np.ndarray:
     """Forward transform from the collocation grid (any leading axes)."""
+    import scipy.fft
+
     return scipy.fft.rfftn(u, axes=(-3, -2, -1), norm="forward", workers=fft_workers())
 
 
@@ -148,14 +175,18 @@ def leray_project_coeffs(coeffs: np.ndarray, N: int) -> np.ndarray:
     """Mode-wise orthogonal projection onto divergence-free fields,
     uhat - k (k.uhat)/|k|^2; the zero mode is untouched."""
     kx, ky, kz, k2 = wavenumbers(N)
-    k2_safe = np.where(k2 == 0, 1.0, k2)
-    kdotu = kx * coeffs[0] + ky * coeffs[1] + kz * coeffs[2]
-    factor = kdotu / k2_safe  # k.uhat is 0 at k = 0
-    out = coeffs.copy()
-    out[0] -= kx * factor
-    out[1] -= ky * factor
-    out[2] -= kz * factor
-    return out
+    return leray_project_in_place(coeffs.copy(), kx, ky, kz, np.where(k2 == 0, 1.0, k2))
+
+
+def leray_project_in_place(coeffs: np.ndarray, kx, ky, kz, k2_safe) -> np.ndarray:
+    """The Leray projection of ``coeffs`` written over it, for wavenumber
+    components that broadcast against one component of it; ``k2_safe`` is
+    |k|^2 with the zero mode set to 1 (k.uhat is 0 there)."""
+    factor = (kx * coeffs[0] + ky * coeffs[1] + kz * coeffs[2]) / k2_safe
+    coeffs[0] -= kx * factor
+    coeffs[1] -= ky * factor
+    coeffs[2] -= kz * factor
+    return coeffs
 
 
 def init_taylor_green(N: int, nu: float) -> SpectralField:

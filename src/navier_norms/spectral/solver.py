@@ -7,6 +7,7 @@ with the viscous factor exp(-nu |k|^2 t) treated exactly.
 
 from __future__ import annotations
 
+import functools
 import logging
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -67,39 +68,60 @@ class SolverConfig:
         return sf.random_solenoidal(self.N, self.nu, rng, decay=float(self.ic_params.get("decay", 2.0)))
 
 
+# the rows SYM_INDEX[a, b] over a = 0, 1, 2, one row for each b
+_SYM_ROWS = [[sf.SYM_INDEX[a, b] for a in range(3)] for b in range(3)]
+
+
 def nonlinear_term(coeffs: np.ndarray, N: int) -> np.ndarray:
-    """-P[i k_b F(u_a u_b)], dealiased.
+    """-P[i k_b F(u_a u_b)] on the modes the 2/3 rule keeps.
 
-    The quadratic term is formed pseudo-spectrally from the dealiased
-    velocity, so the product is alias-free under the 2/3 rule; only the six
-    independent entries of the symmetric product tensor are transformed.
+    Takes and returns coefficients of shape (3, M) on ``field.kept_modes(N)``;
+    every other mode of the input and the output is zero, so scattering the
+    input onto the full layout is its dealiasing.  The quadratic term is
+    formed pseudo-spectrally, alias-free under the 2/3 rule, from the six
+    independent entries of the symmetric product tensor.
     """
-    kx, ky, kz, _ = sf.wavenumbers(N)
-    kvec = (kx, ky, kz)
-    u = sf.to_physical(sf.dealias(coeffs, N), N)
-    prod_hat = sf.to_spectral(np.stack([u[a] * u[b] for a, b in sf.SYM_PAIRS]))
-    out = np.empty_like(coeffs)
-    for a in range(3):
-        out[a] = -1j * (
-            kvec[0] * prod_hat[sf.SYM_INDEX[a, 0]]
-            + kvec[1] * prod_hat[sf.SYM_INDEX[a, 1]]
-            + kvec[2] * prod_hat[sf.SYM_INDEX[a, 2]]
-        )
-    return sf.dealias(sf.leray_project_coeffs(out, N), N)
+    kept = sf.kept_modes(N)
+    full = np.zeros((3, N, N, N // 2 + 1), dtype=complex)
+    full.reshape(3, -1)[:, kept.index] = coeffs
+    u = sf.to_physical(full, N)
+    prod = np.empty((6, N, N, N))
+    for i, (a, b) in enumerate(sf.SYM_PAIRS):
+        np.multiply(u[a], u[b], out=prod[i])
+    prod_hat = sf.to_spectral(prod).reshape(6, -1)[:, kept.index]
+    out = -1j * (
+        kept.kx * prod_hat[_SYM_ROWS[0]] + kept.ky * prod_hat[_SYM_ROWS[1]] + kept.kz * prod_hat[_SYM_ROWS[2]]
+    )
+    return sf.leray_project_in_place(out, kept.kx, kept.ky, kept.kz, kept.k2_safe)
 
 
-def step(state: sf.SpectralField, dt: float) -> sf.SpectralField:
-    """One integrating-factor RK4 step (viscous term exact)."""
-    N, nu = state.N, state.nu
+@functools.lru_cache(maxsize=8)
+def _integrating_factors(N: int, nu: float, dt: float):
+    """exp(-nu |k|^2 dt/2) and its square on the kept modes, and the square
+    on every stored mode."""
     _, _, _, k2 = sf.wavenumbers(N)
     E = np.exp(-nu * k2 * (dt / 2.0))
     E2 = E * E
-    v = state.coeffs
+    index = sf.kept_modes(N).index
+    return E.ravel()[index], E2.ravel()[index], E2
+
+
+def step(state: sf.SpectralField, dt: float) -> sf.SpectralField:
+    """One integrating-factor RK4 step (viscous term exact).
+
+    The stages run on the kept modes only; every other mode is outside the
+    nonlinear term's range and decays by the viscous factor alone.
+    """
+    N, nu = state.N, state.nu
+    E, E2, E2_full = _integrating_factors(N, nu, dt)
+    index = sf.kept_modes(N).index
+    v = state.coeffs.reshape(3, -1)[:, index]
     a = nonlinear_term(v, N)
     b = nonlinear_term(E * (v + (dt / 2.0) * a), N)
     c = nonlinear_term(E * v + (dt / 2.0) * b, N)
     d = nonlinear_term(E2 * v + dt * E * c, N)
-    new = E2 * v + (dt / 6.0) * (E2 * a + 2.0 * E * (b + c) + d)
+    new = E2_full * state.coeffs
+    new.reshape(3, -1)[:, index] = E2 * v + (dt / 6.0) * (E2 * a + 2.0 * E * (b + c) + d)
     return sf.SpectralField(N=N, nu=nu, coeffs=new)
 
 

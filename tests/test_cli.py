@@ -277,13 +277,22 @@ def test_simulate_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch):
         assert "NAVIER_NORMS_THREADS" in capsys.readouterr().err
 
 
-def test_cli_import_skips_scipy_integrate():
+def test_cli_import_skips_scipy_integrate(tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    # bihari and curves never transform a field, so scipy.fft stays out too
-    code = "import sys, navier_norms.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    traj = tmp_path / "norms.csv"
+    traj.write_text(NORMS_CSV)
+    # bihari and curves never transform a field, so scipy.fft stays out too;
+    # so does a norms query, which reads a CSV and integrates in time
+    argv = ["norms", "--traj", str(traj), "--k", "0", "--r", "2", "--rtilde", "2"]
+    norms = f"assert navier_norms.cli.main({argv!r}) == 0"
+    for run in ("pass", norms):
+        code = (
+            f"import sys, navier_norms.cli; {run}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stderr.strip() == "[]"
 
 
 def test_norms_on_curve_verdict(small_run, capsys):
@@ -362,6 +371,10 @@ def test_norms_missing_series_exits_2(small_run, capsys):
         ["norms", "--traj", str(out_dir / "norms.csv"), "--k", "2", "--r", "2", "--rtilde", "2"]
     )
     assert code == 2
+    capsys.readouterr()
+    code = cli.main(["norms", "--traj", str(out_dir / "norms.csv"), "--k", "0", "--r", "-1", "--rtilde", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == "norms: no samples for (k, r) = (0, -1.0)\n"
 
 
 NORMS_CSV = "t,k,r,value\n0,0,2,1.5\n0.5,0,2,1.25\n1,0,2,1\n"

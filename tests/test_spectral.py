@@ -1,4 +1,5 @@
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -24,11 +25,16 @@ from navier_norms.spectral import (
 from navier_norms.spectral import io as spio
 from navier_norms.spectral.field import (
     BOX_VOLUME,
+    SYM_INDEX,
+    SYM_PAIRS,
+    dealias,
+    kept_modes,
     lebesgue_norm,
     leray_project_coeffs,
     spectral_gradient_l2_sq,
     spectral_l2_sq,
     to_physical,
+    to_spectral,
     wavenumbers,
 )
 from navier_norms.spectral.solver import nonlinear_term
@@ -169,8 +175,9 @@ def test_divergence_error_zero_field():
 def test_field_validation():
     with pytest.raises(ValueError):
         SpectralField(N=12, nu=1.0, coeffs=np.zeros((3, 12, 12, 7), dtype=complex))
-    with pytest.raises(ValueError):
-        SpectralField(N=16, nu=0.0, coeffs=np.zeros((3, 16, 16, 9), dtype=complex))
+    for nu in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SpectralField(N=16, nu=nu, coeffs=np.zeros((3, 16, 16, 9), dtype=complex))
     with pytest.raises(ValueError):
         SpectralField(N=16, nu=1.0, coeffs=np.zeros((3, 16, 16, 8), dtype=complex))
 
@@ -215,12 +222,55 @@ def test_step_convergence_order():
 
 def test_nonlinear_term_is_divergence_free_and_dealiased():
     f = random_solenoidal(N, 0.1, np.random.default_rng(9))
-    out = nonlinear_term(f.coeffs, N)
+    index = kept_modes(N).index
+    out = np.zeros_like(f.coeffs)
+    out.reshape(3, -1)[:, index] = nonlinear_term(f.coeffs.reshape(3, -1)[:, index], N)
     kx, ky, kz, _ = wavenumbers(N)
     div = kx * out[0] + ky * out[1] + kz * out[2]
     assert np.max(np.abs(div)) < 1e-12
     high = (np.abs(kx) > N / 3.0) | (np.abs(ky) > N / 3.0) | (np.abs(kz) > N / 3.0)
     assert np.max(np.abs(np.broadcast_to(high, out[0].shape) * out)) == 0.0
+
+
+def _full_array_step(state, dt):
+    """The RK4 step with every stage on the whole half-spectrum: dealias,
+    products, derivative and Leray projection as separate full passes."""
+    n, nu = state.N, state.nu
+    kx, ky, kz, k2 = wavenumbers(n)
+
+    def nonlinear(coeffs):
+        u = to_physical(dealias(coeffs, n), n)
+        prod_hat = to_spectral(np.stack([u[a] * u[b] for a, b in SYM_PAIRS]))
+        out = np.empty_like(coeffs)
+        for a in range(3):
+            out[a] = -1j * (
+                kx * prod_hat[SYM_INDEX[a, 0]] + ky * prod_hat[SYM_INDEX[a, 1]] + kz * prod_hat[SYM_INDEX[a, 2]]
+            )
+        factor = (kx * out[0] + ky * out[1] + kz * out[2]) / np.where(k2 == 0, 1.0, k2)
+        out[0] -= kx * factor
+        out[1] -= ky * factor
+        out[2] -= kz * factor
+        return dealias(out, n)
+
+    E = np.exp(-nu * k2 * (dt / 2.0))
+    E2 = E * E
+    v = state.coeffs
+    a = nonlinear(v)
+    b = nonlinear(E * (v + (dt / 2.0) * a))
+    c = nonlinear(E * v + (dt / 2.0) * b)
+    d = nonlinear(E2 * v + dt * E * c)
+    return SpectralField(N=n, nu=nu, coeffs=E2 * v + (dt / 6.0) * (E2 * a + 2.0 * E * (b + c) + d))
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("ic", ["taylor_green", "random"])
+def test_step_matches_full_array_step(n, ic):
+    f = init_taylor_green(n, 0.1) if ic == "taylor_green" else random_solenoidal(n, 0.05, np.random.default_rng(12))
+    g = f
+    for _ in range(3):
+        f = step(f, 2e-3)
+        g = _full_array_step(g, 2e-3)
+    assert np.array_equal(f.coeffs, g.coeffs)
 
 
 def test_cfl_advisory_warning():
@@ -414,6 +464,12 @@ def test_snapshot_roundtrip(tmp_path):
     v1.write_bytes(b"NAVNORM1" + path.read_bytes()[8:])
     with pytest.raises(ValueError, match="predates the stored viscosity"):
         spio.read_snapshot(v1)
+    # the viscosity follows magic, N, component count and time in the header
+    nan_nu = tmp_path / "nan_nu.bin"
+    raw = path.read_bytes()
+    nan_nu.write_bytes(raw[:24] + struct.pack("<d", math.nan) + raw[32:])
+    with pytest.raises(ValueError, match="nu=nan"):
+        spio.read_snapshot(nan_nu)
 
 
 def test_energy_json(tmp_path):
