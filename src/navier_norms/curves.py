@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Optional
 
 from .errors import BranchMismatch, NoBranch, OutOfRange
@@ -44,11 +46,13 @@ class CurvePoint:
     branch_id: str = ""
 
 
-def _horner(coeffs: tuple, x: Fraction) -> Fraction | int:
-    """coeffs[0] + coeffs[1] x + coeffs[2] x^2 + ..., exactly."""
-    acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = acc * x + c
+def _horner(coeffs: tuple, p: int, q: int) -> int:
+    """sum_j coeffs[j] q^j p^(m-j), m = len(coeffs) - 1: the ascending
+    polynomial at x = q/p times p^m, in integers."""
+    acc, q_power = coeffs[0], 1
+    for c in coeffs[1:]:
+        q_power *= q
+        acc = acc * p + c * q_power
     return acc
 
 
@@ -71,16 +75,24 @@ class CurveBranch:
     open_bound: bool = False
 
     def contains(self, r: ExtRational) -> bool:
-        if r < self.lo or (r == self.lo and not self.lo_closed):
-            return False
-        if r > self.hi or (r == self.hi and not self.hi_closed):
-            return False
-        return True
+        above_lo = r > self.lo or (r == self.lo and self.lo_closed)
+        return above_lo and (r < self.hi or (r == self.hi and self.hi_closed))
+
+    @cached_property
+    def _integer_rule(self) -> tuple[tuple, tuple]:
+        """num and den as integer vectors of one length: padded, then scaled."""
+        m = max(len(self.num), len(self.den))
+        num, den = ([Fraction(c) for c in v + (0,) * (m - len(v))] for v in (self.num, self.den))
+        scale = lcm(*(c.denominator for c in num + den))
+        return tuple(int(c * scale) for c in num), tuple(int(c * scale) for c in den)
 
     def evaluate(self, r: ExtRational) -> CurvePoint:
-        x = Fraction(r.denominator, r.numerator)  # inf is (1, 0), so x = 0
-        rt = ExtRational(_horner(self.den, x), _horner(self.num, x))
-        nonpositive = rt.is_finite and rt.as_fraction() <= 0
+        # r = p/q (inf is 1/0) and x = q/p: the scale and the p^m of the
+        # homogeneous forms cancel in r_tilde = den(x)/num(x)
+        p, q = r.numerator, r.denominator
+        num, den = (_horner(v, p, q) for v in self._integer_rule)
+        rt = ExtRational(den, num)
+        nonpositive = num != 0 and den * num <= 0
         return CurvePoint(
             r=r,
             r_tilde=rt,
@@ -147,19 +159,48 @@ _REFINED_BRANCHES = {
 REFINED_TARGETS = tuple(_REFINED_BRANCHES)
 
 
-def _evaluate(branches, r: ExtRational, label: str) -> CurvePoint:
+def _gap(r: ExtRational, label: str) -> CurvePoint:
+    """The inadmissible point of an r outside every branch."""
+    return CurvePoint(r, None, False, f"r={r} outside every branch of the {label} curve")
+
+
+def _agree(label: str, r: ExtRational, points: list) -> CurvePoint:
+    """points[0], once every point is seen to give the same r_tilde."""
+    if len({p.r_tilde for p in points}) != 1:
+        raise BranchMismatch(
+            f"{label} branches {[p.branch_id for p in points]} disagree at "
+            f"r={r}: {[str(p.r_tilde) for p in points]}"
+        )
+    return points[0]
+
+
+def _evaluate(branches, label: str, r: ExtRational) -> CurvePoint:
     hits = [b for b in branches if b.contains(r)]
     if not hits:
-        raise NoBranch(f"r={r} outside every branch of the {label} curve")
-    points = [b.evaluate(r) for b in hits]
-    if len(points) > 1:
-        values = {p.r_tilde for p in points}
-        if len(values) != 1:
-            raise BranchMismatch(
-                f"{label} branches {[p.branch_id for p in points]} disagree at "
-                f"r={r}: {[str(p.r_tilde) for p in points]}"
-            )
-    return points[0]
+        raise NoBranch(_gap(r, label).reason)
+    return _agree(label, r, [b.evaluate(r) for b in hits])
+
+
+def _derivative_branches(k: int, r) -> tuple[list, str, ExtRational]:
+    """The k-th gradient's branches, label and r, refusing k and r."""
+    if k not in _DERIVATIVE_BRANCHES:
+        raise OutOfRange(f"k={k} outside {{0,1,2}}")
+    r = Q(r)
+    if r.is_infinite and k != 0:
+        raise NoBranch(f"r=inf only allowed for k=0, got k={k}")
+    if r <= Q(1):
+        raise OutOfRange(f"r={r} must exceed 1")
+    return _DERIVATIVE_BRANCHES[k], f"k={k}", r
+
+
+def _refined_branches(target: str, r) -> tuple[list, str, ExtRational]:
+    """The refined target's branches, label and r, refusing target and r."""
+    if target not in _REFINED_BRANCHES:
+        raise OutOfRange(f"target={target!r} not in {REFINED_TARGETS}")
+    r = Q(r)
+    if r <= Q(1) or r.is_infinite:
+        raise OutOfRange(f"r={r} must be finite and > 1")
+    return _REFINED_BRANCHES[target], target, r
 
 
 def derivative_curve(k: int, r: ExtRational) -> CurvePoint:
@@ -169,24 +210,12 @@ def derivative_curve(k: int, r: ExtRational) -> CurvePoint:
     r = inf is only meaningful for k = 0.  Points where the stated rule yields
     r_tilde <= 0 are returned with admissible=False.
     """
-    if k not in _DERIVATIVE_BRANCHES:
-        raise OutOfRange(f"k={k} outside {{0,1,2}}")
-    r = Q(r)
-    if r.is_infinite and k != 0:
-        raise NoBranch(f"r=inf only allowed for k=0, got k={k}")
-    if r <= Q(1):
-        raise OutOfRange(f"r={r} must exceed 1")
-    return _evaluate(_DERIVATIVE_BRANCHES[k], r, f"k={k}")
+    return _evaluate(*_derivative_branches(k, r))
 
 
 def refined_curve(target: str, r: ExtRational) -> CurvePoint:
     """Refined curve for one of the targets grad2, grad1, velocity."""
-    if target not in _REFINED_BRANCHES:
-        raise OutOfRange(f"target={target!r} not in {REFINED_TARGETS}")
-    r = Q(r)
-    if r <= Q(1) or r.is_infinite:
-        raise OutOfRange(f"r={r} must be finite and > 1")
-    return _evaluate(_REFINED_BRANCHES[target], r, target)
+    return _evaluate(*_refined_branches(target, r))
 
 
 def gn_shift_grad1(r: ExtRational) -> CurvePoint:
@@ -200,8 +229,20 @@ def gn_shift_grad1(r: ExtRational) -> CurvePoint:
     if r <= Q(1) or r.is_infinite:
         raise OutOfRange(f"r={r} must be finite and > 1")
     r2 = (Q(3) * r) / (Q(3) + r)
-    point = _evaluate(_DERIVATIVE_BRANCHES[2], r2, "k=2 (shifted)")
+    point = _evaluate(_DERIVATIVE_BRANCHES[2], "k=2 (shifted)", r2)
     return replace(point, r=r, branch_id=f"gn_shift[{point.branch_id}]")
+
+
+def _span(branch: CurveBranch, a: int, b: int, d: int, n: int) -> range:
+    """Indices i < n of the nodes (a + i b)/d (b > 0) inside the branch: node
+    i is at or above an endpoint p/q exactly when i b q >= p d - a q."""
+    t, s = branch.lo.numerator * d - a * branch.lo.denominator, b * branch.lo.denominator
+    first = -(-t // s) if branch.lo_closed else t // s + 1
+    last = n - 1
+    if branch.hi.is_finite:
+        t, s = branch.hi.numerator * d - a * branch.hi.denominator, b * branch.hi.denominator
+        last = min(last, t // s if branch.hi_closed else -(-t // s) - 1)
+    return range(max(first, 0), last + 1)
 
 
 def sample_curve(
@@ -213,27 +254,32 @@ def sample_curve(
     """Evaluate a curve on n equispaced rational nodes in [r_min, r_max].
 
     ``selector`` is an integer k (gradient order) or a refined-target name.
-    Per-point NoBranch is converted into an inadmissible point rather than
-    aborting the sweep.
+    Nodes outside every branch become inadmissible points with the NoBranch
+    message as reason; a node two branches share must get one value from both.
     """
     r_min, r_max = Q(r_min), Q(r_max)
     if not (r_min.is_finite and r_max.is_finite and r_min < r_max):
         raise OutOfRange("need finite r_min < r_max")
     if n < 2:
         raise OutOfRange("need n >= 2 sample points")
-    lo, hi = r_min.as_fraction(), r_max.as_fraction()
-    step = (hi - lo) / (n - 1)
-    evaluate = derivative_curve if isinstance(selector, int) else refined_curve
-    points = []
-    for i in range(n):
-        r = ExtRational(lo + i * step)
-        try:
-            points.append(evaluate(selector, r))
-        except NoBranch as exc:
-            points.append(
-                CurvePoint(r=r, r_tilde=None, admissible=False, reason=str(exc))
-            )
-    return points
+    branch_table = _derivative_branches if isinstance(selector, int) else _refined_branches
+    branches, label, _ = branch_table(selector, r_min)  # refuses as the first node would
+    # node i is (a + i b)/d: r_min and the step over one common denominator d
+    lo, step = r_min.as_fraction(), (r_max - r_min).as_fraction() / (n - 1)
+    d = lcm(lo.denominator, step.denominator)
+    a, b = lo.numerator * (d // lo.denominator), step.numerator * (d // step.denominator)
+
+    def node(i: int) -> ExtRational:
+        return ExtRational(Fraction(a + i * b, d))
+
+    points: list[CurvePoint] = []
+    spans = [(span, x) for x in branches if (span := _span(x, a, b, d, n))]
+    for span, branch in sorted(spans, key=lambda sx: sx[0].start):
+        for point in points[span.start : span.stop]:  # nodes an earlier branch took
+            _agree(label, point.r, [point, branch.evaluate(point.r)])
+        points += [_gap(node(i), label) for i in range(len(points), span.start)]
+        points += [branch.evaluate(node(i)) for i in range(len(points), span.stop)]
+    return points + [_gap(node(i), label) for i in range(len(points), n)]
 
 
 def curve_points_to_rows(selector, points) -> list[dict]:

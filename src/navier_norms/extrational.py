@@ -32,13 +32,16 @@ class ExtRational:
                 raise TypeError("cannot give a denominator with an ExtRational")
             self._frac = numerator._frac
             return
-        if numerator == "inf" or numerator == float("inf"):
+        # an int or Fraction is never "inf", so it skips the slow equality tests
+        exact = isinstance(numerator, (int, Fraction))
+        if not exact and (numerator == "inf" or numerator == float("inf")):
             if denominator is not None:
                 raise TypeError("cannot give a denominator with infinity")
             self._frac = None
             return
         if denominator is None:
-            self._frac = Fraction(numerator)
+            # a Fraction is immutable, so it is shared rather than copied
+            self._frac = numerator if type(numerator) is Fraction else Fraction(numerator)
         elif denominator == 0:
             if numerator == 0:
                 raise UndefinedExtendedValue("0/0")

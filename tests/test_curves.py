@@ -1,16 +1,21 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from navier_norms import curves
 from navier_norms.curves import (
     REFINED_TARGETS,
+    CurvePoint,
     curve_points_to_rows,
     derivative_curve,
     gn_shift_grad1,
     refined_curve,
     sample_curve,
 )
-from navier_norms.errors import NoBranch, OutOfRange
+from navier_norms.errors import BranchMismatch, NoBranch, OutOfRange
 from navier_norms.extrational import INF, Q
 
 
@@ -178,3 +183,104 @@ def test_every_branch_satisfies_its_stated_relation(selector, branch, rs, relati
         assert point.admissible == positive
         assert point.reason == ("" if positive else "r_tilde <= 0")
         assert point.open_bound == (branch in ("grad2_lowest", "grad2_low"))
+
+
+# -- the sweep against the per-point curves ----------------------------------
+
+_SELECTORS = (0, 1, 2, *REFINED_TARGETS)
+_TABLES = (curves._DERIVATIVE_BRANCHES, curves._REFINED_BRANCHES)
+_BRANCHES = [branch for table in _TABLES for branches in table.values() for branch in branches]
+_ABOVE_ONE = st.fractions(min_value=1, max_value=40, max_denominator=60).filter(lambda f: f > 1)
+_FAR_ABOVE_ONE = st.fractions(min_value=1, max_value=10**6, max_denominator=10**4).filter(
+    lambda f: f > 1
+)
+
+
+def _pointwise(selector, r_min, r_max, n):
+    """sample_curve written as a loop over derivative_curve / refined_curve."""
+    curve = derivative_curve if isinstance(selector, int) else refined_curve
+    step = (r_max - r_min) / (n - 1)
+    points = []
+    for i in range(n):
+        r = Q(r_min + i * step)
+        try:
+            points.append(curve(selector, r))
+        except NoBranch as exc:
+            points.append(CurvePoint(r=r, r_tilde=None, admissible=False, reason=str(exc)))
+    return points
+
+
+def _assert_sweep_matches_loop(selector, r_min, r_max, n):
+    points = sample_curve(selector, Q(r_min), Q(r_max), n)
+    expected = _pointwise(selector, r_min, r_max, n)
+    assert points == expected
+    assert curve_points_to_rows(selector, points) == curve_points_to_rows(selector, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_SELECTORS), _ABOVE_ONE, _ABOVE_ONE, st.integers(2, 200))
+def test_sweep_equals_per_point_loop(selector, a, b, n):
+    assume(a != b)
+    _assert_sweep_matches_loop(selector, min(a, b), max(a, b), n)
+
+
+# every breakpoint 4/3, 3/2, 2, 3 and 6 is a node, inside a range or at its
+# end; the last range's nodes straddle all of them but 2
+_BREAKPOINT_RANGES = [
+    (Fraction(4, 3), Fraction(6), 29),
+    (Fraction(5, 4), Fraction(7), 70),
+    (Fraction(3, 2), Fraction(3), 10),
+    (Fraction(2), Fraction(6), 9),
+    (Fraction(4, 3), Fraction(3, 2), 2),
+    (Fraction(3), Fraction(6), 2),
+    (Fraction(6), Fraction(12), 7),
+    (Fraction(5, 4), Fraction(13, 2), 8),
+]
+
+
+@pytest.mark.parametrize("selector", _SELECTORS)
+@pytest.mark.parametrize("r_min, r_max, n", _BREAKPOINT_RANGES)
+def test_sweep_equals_per_point_loop_on_breakpoints(selector, r_min, r_max, n):
+    _assert_sweep_matches_loop(selector, r_min, r_max, n)
+
+
+@pytest.mark.parametrize(
+    "selector, r_min, message",
+    [
+        (0, Q(1), "r=1 must exceed 1"),
+        ("grad1", Q(1, 2), "r=1/2 must be finite and > 1"),
+        (5, Q(2), "k=5 outside {0,1,2}"),
+        ("grad3", Q(2), "target='grad3' not in ('grad2', 'grad1', 'velocity')"),
+    ],
+)
+def test_sweep_refuses_as_its_first_node_would(selector, r_min, message):
+    with pytest.raises(OutOfRange) as refusal:
+        sample_curve(selector, r_min, Q(8), 5)
+    assert str(refusal.value) == message
+
+
+def test_sweep_refuses_branches_that_disagree_at_a_shared_breakpoint(monkeypatch):
+    energy, high = curves._DERIVATIVE_BRANCHES[0]
+    monkeypatch.setitem(curves._DERIVATIVE_BRANCHES, 0, [energy, replace(high, num=(1, -2))])
+    with pytest.raises(BranchMismatch) as single:
+        derivative_curve(0, Q(6))
+    with pytest.raises(BranchMismatch) as sweep:
+        sample_curve(0, Q(2), Q(8), 7)
+    assert str(single.value) == "k=0 branches ['k0_energy', 'k0_high'] disagree at r=6: ['2', '3/2']"
+    assert str(sweep.value) == str(single.value)
+
+
+def _polynomial(coeffs, x):
+    return sum(Fraction(c) * x**j for j, c in enumerate(coeffs))
+
+
+@given(st.one_of(_ABOVE_ONE, _FAR_ABOVE_ONE))
+def test_integer_rule_equals_the_fraction_polynomials(r):
+    for r in (Q(r), INF):
+        x = Fraction(0) if r.is_infinite else 1 / r.as_fraction()
+        for branch in _BRANCHES:
+            num, den = _polynomial(branch.num, x), _polynomial(branch.den, x)
+            expected = INF if num == 0 else Q(den / num)
+            point = branch.evaluate(r)
+            assert point.r_tilde == expected, (branch.branch_id, r)
+            assert point.admissible == (expected.is_infinite or expected > Q(0))

@@ -20,6 +20,30 @@ def test_construction():
     assert Q(Q(5)) == Q(5)
 
 
+def test_exact_arguments_keep_their_meaning():
+    # int and Fraction skip the "inf" tests; the other spellings keep them
+    assert ExtRational("inf") == INF and ExtRational(float("inf")) == INF
+    assert ExtRational(3, 0) == INF
+    with pytest.raises(TypeError):
+        ExtRational(float("inf"), 2)
+    with pytest.raises(UndefinedExtendedValue, match="0/0"):
+        ExtRational(0, 0)
+    with pytest.raises(UndefinedExtendedValue, match="negative infinity"):
+        ExtRational(-3, 0)
+    negative = ExtRational(3, -6)
+    assert (negative.numerator, negative.denominator) == (-1, 2)
+    assert negative == Q("-1/2") and hash(negative) == hash(Fraction(-1, 2))
+    assert ExtRational(True) == 1
+    assert type(ExtRational(5).as_fraction()) is Fraction
+
+
+@given(st.one_of(fractions, st.integers(-(10**30), 10**30)))
+def test_exact_construction_matches_the_string_path(a):
+    exact = ExtRational(a)
+    assert exact == Q(str(a)) and hash(exact) == hash(Q(str(a))) == hash(Fraction(a))
+    assert (exact.numerator, exact.denominator) == (Fraction(a).numerator, Fraction(a).denominator)
+
+
 def test_zero_over_zero_rejected():
     with pytest.raises(UndefinedExtendedValue):
         ExtRational(0, 0)

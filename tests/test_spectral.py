@@ -220,6 +220,30 @@ def test_step_convergence_order():
     assert g2 < g1 / 8.0
 
 
+def _galilean_boost_error(dt, steps, U=(1.0, -2.0, 0.5)):
+    """Largest mode error, relative to the largest mode, of the run started
+    from the datum with mean mode U against the unboosted run translated by
+    U t: u_U(x, t) = U + u(x - U t, t), i.e. uhat(k, t) exp(-i k.U t)."""
+    f = random_solenoidal(N, 0.1, np.random.default_rng(12))
+    g = f.copy()
+    g.coeffs[:, 0, 0, 0] = U
+    for _ in range(steps):
+        f, g = step(f, dt), step(g, dt)
+    kx, ky, kz, _ = wavenumbers(N)
+    expected = f.coeffs * np.exp(-1j * (kx * U[0] + ky * U[1] + kz * U[2]) * (steps * dt))
+    expected[:, 0, 0, 0] = U
+    return np.max(np.abs(g.coeffs - expected)) / np.max(np.abs(f.coeffs))
+
+
+def test_galilean_boost_commutes_with_the_step():
+    # Taylor-Green is its own translate under u -> -u, so it cannot see the
+    # sign of the advection; a boost can.  Both runs end at T = 0.02, so
+    # halving dt divides RK4's global error by about 2^4 = 16.
+    coarse, fine = _galilean_boost_error(2e-3, 10), _galilean_boost_error(1e-3, 20)
+    assert fine < 1e-9
+    assert 10.0 < coarse / fine < 22.0
+
+
 def test_nonlinear_term_is_divergence_free_and_dealiased():
     f = random_solenoidal(N, 0.1, np.random.default_rng(9))
     index = kept_modes(N).index
