@@ -28,8 +28,6 @@ EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 EXIT_BLOWUP = 4
 
-CURVE_COLUMNS = ["k", "r_num", "r_den", "rtilde_num", "rtilde_den", "admissible", "open_bound", "branch_id"]
-
 BIHARI_SLACK = 1e-6
 
 # simulate config keys passed to SolverConfig, with their converters
@@ -62,12 +60,13 @@ def cmd_curves(args) -> int:
     rows = curves.curve_points_to_rows(selector, points)
     out = Path(args.out)
     with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CURVE_COLUMNS)
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(curves.CURVE_COLUMNS)
         writer.writerows(rows)
     outputs = [out]
     if args.json:
-        Path(args.json).write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
+        records = [dict(zip(curves.CURVE_COLUMNS, row)) for row in rows]
+        Path(args.json).write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
         outputs.append(Path(args.json))
     manifest = args.manifest or f"{out}.manifest.json"
     config = {

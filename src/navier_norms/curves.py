@@ -30,8 +30,12 @@ __all__ = [
     "gn_shift_grad1",
     "sample_curve",
     "curve_points_to_rows",
+    "CURVE_COLUMNS",
     "REFINED_TARGETS",
 ]
+
+# the fields of one serialized curve point, in the order of its row tuple
+CURVE_COLUMNS = ("k", "r_num", "r_den", "rtilde_num", "rtilde_den", "admissible", "open_bound", "branch_id")
 
 
 @dataclass(frozen=True)
@@ -282,27 +286,14 @@ def sample_curve(
     return points + [_gap(node(i), label) for i in range(len(points), n)]
 
 
-def curve_points_to_rows(selector, points) -> list[dict]:
-    """Serializable rows with exact numerator/denominator pairs.
+def curve_points_to_rows(selector, points) -> list[tuple]:
+    """Serializable rows with exact numerator/denominator pairs, one tuple
+    per point in the order of CURVE_COLUMNS.
 
     +infinity is encoded as the pair (1, 0); an undefined r_tilde as (0, 0).
     """
     rows = []
     for p in points:
-        if p.r_tilde is None:
-            rt_num, rt_den = 0, 0
-        else:
-            rt_num, rt_den = p.r_tilde.numerator, p.r_tilde.denominator
-        rows.append(
-            {
-                "k": selector,
-                "r_num": p.r.numerator,
-                "r_den": p.r.denominator,
-                "rtilde_num": rt_num,
-                "rtilde_den": rt_den,
-                "admissible": p.admissible,
-                "open_bound": p.open_bound,
-                "branch_id": p.branch_id,
-            }
-        )
+        rt = (0, 0) if p.r_tilde is None else (p.r_tilde.numerator, p.r_tilde.denominator)
+        rows.append((selector, p.r.numerator, p.r.denominator, *rt, p.admissible, p.open_bound, p.branch_id))
     return rows

@@ -3,7 +3,6 @@
 from .diagnostics import (
     EnergyReport,
     NormTrajectory,
-    gn_check,
     mixed_norm,
     weighted_singular_integral,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "SpectralField",
     "biot_savart",
     "divergence_error",
-    "gn_check",
     "init_taylor_green",
     "lebesgue_norm",
     "mixed_norm",

@@ -1,6 +1,6 @@
 """Norm trajectories and the derived time diagnostics: mixed space-time
-Lebesgue norms, weighted singular time integrals, energy-inequality
-residuals, and the L^6-vs-gradient monitor."""
+Lebesgue norms, weighted singular time integrals and energy-inequality
+residuals."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import numpy as np
 
 from ..errors import MissingSamples, NonIntegrable
 from ..kernels import cell_moments
-from . import field as sf
 
 __all__ = [
     "NormTrajectory",
@@ -19,7 +18,6 @@ __all__ = [
     "build_energy_report",
     "mixed_norm",
     "weighted_singular_integral",
-    "gn_check",
 ]
 
 
@@ -130,10 +128,3 @@ def weighted_singular_integral(traj: NormTrajectory, k: int, r: float, theta: fl
     )
     return float(np.sum(vals[:-1] * (i0 - i1) + vals[1:] * i1))
 
-
-def gn_check(f: sf.SpectralField) -> tuple[float, float]:
-    """Pointwise-in-time pair (|u|_{L^6}^2, |grad u|_{L^2}^2) whose time
-    integrals are related by the Sobolev-type inequality."""
-    lhs = sf.lebesgue_norm(f, 0, 6.0) ** 2
-    rhs = sf.spectral_gradient_l2_sq(f.coeffs, f.N)
-    return lhs, rhs

@@ -37,6 +37,7 @@ __all__ = [
     "vorticity",
     "biot_savart",
     "divergence_error",
+    "parseval_sq",
     "spectral_l2_sq",
     "spectral_gradient_l2_sq",
     "lebesgue_norm",
@@ -98,8 +99,7 @@ def hermitian_weights(N: int) -> np.ndarray:
     """
     w = np.full(N // 2 + 1, 2.0)
     w[0] = 1.0
-    if N % 2 == 0:
-        w[-1] = 1.0
+    w[-1] = 1.0
     return w[None, None, :]
 
 
@@ -255,38 +255,55 @@ def divergence_error(f: SpectralField, rel_floor: float = 1e-6) -> float:
     return float(np.max(kdotu[mask] / (kmag[mask] * umag[mask])))
 
 
+def parseval_sq(coeffs: np.ndarray, N: int, m: int) -> float:
+    """Parseval sum (2pi)^3 sum_k |k|^(2m) |uhat(k)|^2 over the full lattice:
+    |grad^m u|^2 in L^2 for the Frobenius magnitude of the derivative
+    tensor, since sum_{a,b,c} |k_b k_c uhat_a|^2 = |k|^4 |uhat|^2."""
+    _, _, _, k2 = wavenumbers(N)
+    return float(BOX_VOLUME * np.sum(hermitian_weights(N) * k2**m * np.abs(coeffs) ** 2))
+
+
 def spectral_l2_sq(coeffs: np.ndarray, N: int) -> float:
-    """Parseval sum (2pi)^3 sum_k |uhat(k)|^2 over the full lattice."""
-    w = hermitian_weights(N)
-    return float(BOX_VOLUME * np.sum(w * np.abs(coeffs) ** 2))
+    """|u|^2 in L^2, the m = 0 Parseval sum."""
+    return parseval_sq(coeffs, N, 0)
 
 
 def spectral_gradient_l2_sq(coeffs: np.ndarray, N: int) -> float:
-    """Parseval sum for the full velocity gradient, (2pi)^3 sum |k|^2 |uhat|^2."""
-    _, _, _, k2 = wavenumbers(N)
-    w = hermitian_weights(N)
-    return float(BOX_VOLUME * np.sum(w * k2 * np.abs(coeffs) ** 2))
+    """|grad u|^2 in L^2, the m = 1 Parseval sum."""
+    return parseval_sq(coeffs, N, 1)
 
 
 def _derivative_stack(f: SpectralField, k: int) -> np.ndarray:
-    """Spectral coefficients of the distinct order-k derivative components:
-    u_a, d_b u_a, or the 18 d_b d_c u_a with (b, c) in SYM_PAIRS."""
+    """Spectral coefficients of the distinct order-k derivative components
+    (k in 0..2): u_a, d_b u_a, or the 18 d_b d_c u_a with (b, c) in SYM_PAIRS."""
     if k == 0:
         return f.coeffs
     kx, ky, kz, _ = wavenumbers(f.N)
     kvec = (kx, ky, kz)
     if k == 1:
         return np.stack([1j * kb * f.coeffs[a] for a in range(3) for kb in kvec])
-    if k == 2:
-        return np.stack([-kvec[b] * kvec[c] * f.coeffs[a] for a in range(3) for b, c in SYM_PAIRS])
-    raise ValueError(f"derivative order k={k} outside 0..2")
+    return np.stack([-kvec[b] * kvec[c] * f.coeffs[a] for a in range(3) for b, c in SYM_PAIRS])
 
 
 def lebesgue_norm(f: SpectralField, k: int, r: float) -> float:
     """Spatial L^r norm of |grad^k u| (Frobenius magnitude of the full
-    derivative tensor), by collocation-grid quadrature; max for r = inf."""
+    derivative tensor) for k in 0..2; max for r = inf.
+
+    r = 2 is the Parseval sum ``parseval_sq(f.coeffs, f.N, k) ** 0.5``, the
+    exact integral of the trigonometric polynomial the coefficients hold.
+    Every other r is by collocation-grid quadrature.  The two agree to
+    roundoff unless the field has content on a Nyquist plane (|k_i| = N/2),
+    which the 2/3 rule leaves empty.  There the grid is not the exact
+    integral either: on the kz = 0 and kz = N/2 planes it drops the sine
+    half of a Nyquist mode's derivative.  For k = 0 the two are equal by
+    discrete Parseval.
+    """
+    if k not in (0, 1, 2):
+        raise ValueError(f"derivative order k={k} outside 0..2")
     if not r >= 1:
         raise ValueError(f"r={r} must be >= 1 or inf")
+    if r == 2.0:
+        return parseval_sq(f.coeffs, f.N, k) ** 0.5
     squares = to_physical(_derivative_stack(f, k), f.N) ** 2
     if k == 2:  # all 27 squares, in (a, b, c) order
         squares = squares[_HESSIAN_INDEX]

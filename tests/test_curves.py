@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from navier_norms import curves
 from navier_norms.curves import (
+    CURVE_COLUMNS,
     REFINED_TARGETS,
     CurvePoint,
     curve_points_to_rows,
@@ -126,7 +127,7 @@ def test_sample_curve_validation():
 
 def test_rows_encode_exact_rationals():
     points = [derivative_curve(0, Q(2)), derivative_curve(0, Q(6))]
-    rows = curve_points_to_rows(0, points)
+    rows = [dict(zip(CURVE_COLUMNS, row)) for row in curve_points_to_rows(0, points)]
     assert rows[0]["rtilde_num"] == 1 and rows[0]["rtilde_den"] == 0  # infinity
     assert rows[1]["rtilde_num"] == 2 and rows[1]["rtilde_den"] == 1
     assert rows[0]["r_num"] == 2 and rows[0]["r_den"] == 1

@@ -13,7 +13,6 @@ from navier_norms.spectral import (
     SpectralField,
     biot_savart,
     divergence_error,
-    gn_check,
     init_taylor_green,
     mixed_norm,
     random_solenoidal,
@@ -31,8 +30,7 @@ from navier_norms.spectral.field import (
     kept_modes,
     lebesgue_norm,
     leray_project_coeffs,
-    spectral_gradient_l2_sq,
-    spectral_l2_sq,
+    parseval_sq,
     to_physical,
     to_spectral,
     wavenumbers,
@@ -88,7 +86,7 @@ def test_taylor_green_structure():
     high = (np.abs(kx) > 1) | (np.abs(ky) > 1) | (np.abs(kz) > 1)
     assert np.max(np.abs(f.coeffs[:, high])) < 1e-14
     assert divergence_error(f) < 1e-13
-    assert spectral_l2_sq(f.coeffs, N) == pytest.approx(2.0 * math.pi**3, rel=1e-12)
+    assert parseval_sq(f.coeffs, N, 0) == pytest.approx(2.0 * math.pi**3, rel=1e-12)
     assert lebesgue_norm(f, 0, 2.0) ** 2 == pytest.approx(2.0 * math.pi**3, rel=1e-12)
 
 
@@ -124,14 +122,41 @@ def test_biot_savart_inverts_vorticity():
 # -- norms --------------------------------------------------------------------
 
 
+def _grid_l2_sq(f, k):
+    """|grad^k u|^2 in L^2 by quadrature on the collocation grid, summed over
+    every one of the 3^(k+1) derivative components."""
+    kvec = wavenumbers(f.N)[:3]
+    comps = list(f.coeffs)
+    for _ in range(k):
+        comps = [1j * kb * c for c in comps for kb in kvec]
+    return float(np.mean(np.sum(to_physical(np.stack(comps), f.N) ** 2, axis=0)) * BOX_VOLUME)
+
+
+def _parseval_case(n, case):
+    if case == "taylor_green":
+        return init_taylor_green(n, 0.1)
+    decay = 1.0 if case == "decay_1" else 2.0
+    f = random_solenoidal(n, 0.05, np.random.default_rng(7), decay=decay)
+    if case == "stepped":
+        for _ in range(3):
+            f = step(f, 2e-3)
+    return f
+
+
 def test_plancherel_identity():
-    f = random_solenoidal(N, 0.1, np.random.default_rng(7))
-    assert lebesgue_norm(f, 0, 2.0) ** 2 == pytest.approx(
-        spectral_l2_sq(f.coeffs, N), rel=1e-12
-    )
-    assert lebesgue_norm(f, 1, 2.0) ** 2 == pytest.approx(
-        spectral_gradient_l2_sq(f.coeffs, N), rel=1e-12
-    )
+    for n in (16, 32):
+        for case in ("taylor_green", "decay_2", "decay_1", "stepped"):
+            f = _parseval_case(n, case)
+            for k in (0, 1, 2):
+                assert parseval_sq(f.coeffs, n, k) == pytest.approx(_grid_l2_sq(f, k), rel=1e-14)
+
+
+def test_parseval_exact_on_raw_grid_data():
+    # undealiased real data fill the Nyquist planes; for k = 0 the grid sum
+    # and the coefficient sum are still equal, by discrete Parseval
+    u = np.random.default_rng(13).standard_normal((3, N, N, N))
+    grid = float(np.mean(np.sum(u**2, axis=0)) * BOX_VOLUME)
+    assert parseval_sq(to_spectral(u), N, 0) == pytest.approx(grid, rel=1e-14)
 
 
 @pytest.mark.parametrize("r", [1.0, 2.0, 3.0, math.inf])
@@ -151,6 +176,9 @@ def test_lebesgue_norm_rejects_small_r():
         lebesgue_norm(f, 0, 0.5)
     with pytest.raises(ValueError):
         lebesgue_norm(f, 0, math.nan)
+    for r in (2.0, 3.0):
+        with pytest.raises(ValueError, match="k=3"):
+            lebesgue_norm(f, 3, r)
 
 
 @pytest.mark.parametrize("n", [16, 32])
@@ -242,6 +270,50 @@ def test_galilean_boost_commutes_with_the_step():
     coarse, fine = _galilean_boost_error(2e-3, 10), _galilean_boost_error(1e-3, 20)
     assert fine < 1e-9
     assert 10.0 < coarse / fine < 22.0
+
+
+def _scale_up(f):
+    """u -> 2 u(2x) on the grid of twice the size: mode k becomes mode 2k."""
+    n = f.N
+    coeffs = np.zeros((3, 2 * n, 2 * n, n + 1), dtype=complex)
+    coeffs[:, ::2, ::2, ::2] = 2.0 * f.coeffs
+    return SpectralField(N=2 * n, nu=f.nu, coeffs=coeffs)
+
+
+def test_navier_stokes_scaling_commutes_with_the_step():
+    # u_2(x, t) = 2 u(2x, 4t) solves the same equations on the same torus, and
+    # the 2/3 rule and the aliasing map onto each other: a run at N with step
+    # dt equals a run at 2N with step dt/4, to roundoff.  |grad^k u_2| in L^r
+    # is 2^(1+k) times that of u for every r, the energy 4 times and the
+    # dissipation 16 times, which pins the powers of |k| in the norms.
+    f = random_solenoidal(N, 0.1, np.random.default_rng(14))
+    g = _scale_up(f)
+    for _ in range(5):
+        f, g = step(f, 2e-3), step(g, 5e-4)
+    expected = _scale_up(f).coeffs
+    assert np.max(np.abs(g.coeffs - expected)) < 1e-14 * np.max(np.abs(expected))
+    for k in (0, 1, 2):
+        for r in (2.0, 3.0, 6.0, math.inf):
+            assert lebesgue_norm(g, k, r) == pytest.approx(2.0 ** (1 + k) * lebesgue_norm(f, k, r), rel=1e-13)
+    assert parseval_sq(g.coeffs, 2 * N, 0) == pytest.approx(4.0 * parseval_sq(f.coeffs, N, 0), rel=1e-14)
+    assert parseval_sq(g.coeffs, 2 * N, 1) == pytest.approx(16.0 * parseval_sq(f.coeffs, N, 1), rel=1e-14)
+
+
+def _swap_xy(coeffs):
+    """The x <-> y swap, in the components and in the layout."""
+    return coeffs[[1, 0, 2]].transpose(0, 2, 1, 3)
+
+
+def test_axis_permutation_commutes_with_the_step():
+    f = random_solenoidal(N, 0.1, np.random.default_rng(15))
+    g = SpectralField(N=N, nu=f.nu, coeffs=_swap_xy(f.coeffs))
+    for _ in range(10):
+        f, g = step(f, 2e-3), step(g, 2e-3)
+    expected = _swap_xy(f.coeffs)
+    assert np.max(np.abs(g.coeffs - expected)) < 1e-14 * np.max(np.abs(expected))
+    for k in (0, 1, 2):
+        for r in (2.0, 3.0, math.inf):
+            assert lebesgue_norm(g, k, r) == pytest.approx(lebesgue_norm(f, k, r), rel=1e-13)
 
 
 def test_nonlinear_term_is_divergence_free_and_dealiased():
@@ -441,11 +513,6 @@ def test_weighted_integral_rejects_nonintegrable():
         weighted_singular_integral(traj, 0, 2.0, -0.2)
     with pytest.raises(ValueError):
         weighted_singular_integral(traj, 0, 2.0, 0.5, T=0.5)
-
-
-def test_gn_check_zero_field():
-    f = SpectralField(N=N, nu=1.0, coeffs=np.zeros((3, N, N, N // 2 + 1), dtype=complex))
-    assert gn_check(f) == (0.0, 0.0)
 
 
 def test_trajectory_validation():
