@@ -111,7 +111,8 @@ def weighted_singular_integral(traj: NormTrajectory, k: int, r: float, theta: fl
 
     The sampled series is interpolated linearly and each piece is
     integrated exactly against the singular weight, so the endpoint
-    singularity needs no special grading.
+    singularity needs no special grading.  T is the last sample time (the
+    default, to 1e-12): the series says nothing past it.
     """
     if theta >= 1.0:
         raise NonIntegrable(f"theta={theta} >= 1")
@@ -121,8 +122,8 @@ def weighted_singular_integral(traj: NormTrajectory, k: int, r: float, theta: fl
     times = traj.times
     if T is None:
         T = float(times[-1])
-    if T < times[-1] - 1e-12:
-        raise ValueError("T must cover the sampled interval")
+    if abs(T - times[-1]) > 1e-12:
+        raise ValueError(f"T={T} must be the last sample time {float(times[-1])!r}")
     i0, i1 = cell_moments(
         T - times[:-1], np.maximum(T - times[1:], 0.0), np.diff(times), 1.0 - theta
     )

@@ -54,10 +54,6 @@ SYM_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 SYM_INDEX = {(b, c): i for i, (b, c) in enumerate(SYM_PAIRS)}
 SYM_INDEX.update({(c, b): i for i, (b, c) in enumerate(SYM_PAIRS)})
 
-# each of the 27 second derivatives d_b d_c u_a, in (a, b, c) order, as an
-# index into the 18 distinct ones (a major, then SYM_PAIRS)
-_HESSIAN_INDEX = [6 * a + SYM_INDEX[b, c] for a in range(3) for b in range(3) for c in range(3)]
-
 
 def fft_workers() -> int:
     """Worker count for the transforms, capped by NAVIER_NORMS_THREADS,
@@ -273,16 +269,31 @@ def spectral_gradient_l2_sq(coeffs: np.ndarray, N: int) -> float:
     return parseval_sq(coeffs, N, 1)
 
 
-def _derivative_stack(f: SpectralField, k: int) -> np.ndarray:
-    """Spectral coefficients of the distinct order-k derivative components
-    (k in 0..2): u_a, d_b u_a, or the 18 d_b d_c u_a with (b, c) in SYM_PAIRS."""
+def _grid_square_sum(f: SpectralField, k: int) -> np.ndarray:
+    """|grad^k u|^2 on the grid, one u_a at a time: its 3 (k = 1) or 6 (k = 2,
+    (b, c) in SYM_PAIRS) distinct derivatives are transformed together and
+    squared, and all 3^(k+1) squares are added in (a, b[, c]) order, the
+    order in which np.sum over the whole stack adds them."""
     if k == 0:
-        return f.coeffs
-    kx, ky, kz, _ = wavenumbers(f.N)
-    kvec = (kx, ky, kz)
+        squares = to_physical(f.coeffs, f.N)
+        return np.sum(np.square(squares, out=squares), axis=0)
+    kvec = wavenumbers(f.N)[:3]
     if k == 1:
-        return np.stack([1j * kb * f.coeffs[a] for a in range(3) for kb in kvec])
-    return np.stack([-kvec[b] * kvec[c] * f.coeffs[a] for a in range(3) for b, c in SYM_PAIRS])
+        factors, rows = [1j * kb for kb in kvec], range(3)
+    else:
+        factors = [-kvec[b] * kvec[c] for b, c in SYM_PAIRS]
+        rows = [SYM_INDEX[b, c] for b in range(3) for c in range(3)]
+    buf = np.empty((len(factors), *f.coeffs.shape[1:]), dtype=complex)
+    total = np.zeros((f.N,) * 3)
+    for a in range(3):
+        for factor, out in zip(factors, buf):
+            np.multiply(factor, f.coeffs[a], out=out)
+        squares = to_physical(buf, f.N)
+        np.square(squares, out=squares)
+        for i in rows:
+            total += squares[i]
+        del squares  # freed before the next transform allocates its own
+    return total
 
 
 def lebesgue_norm(f: SpectralField, k: int, r: float) -> float:
@@ -291,7 +302,8 @@ def lebesgue_norm(f: SpectralField, k: int, r: float) -> float:
 
     r = 2 is the Parseval sum ``parseval_sq(f.coeffs, f.N, k) ** 0.5``, the
     exact integral of the trigonometric polynomial the coefficients hold.
-    Every other r is by collocation-grid quadrature.  The two agree to
+    Every other r is by collocation-grid quadrature, one velocity component
+    at a time (at most 6 derivative grids, not 18, are held).  The two agree to
     roundoff unless the field has content on a Nyquist plane (|k_i| = N/2),
     which the 2/3 rule leaves empty.  There the grid is not the exact
     integral either: on the kz = 0 and kz = N/2 planes it drops the sine
@@ -304,10 +316,7 @@ def lebesgue_norm(f: SpectralField, k: int, r: float) -> float:
         raise ValueError(f"r={r} must be >= 1 or inf")
     if r == 2.0:
         return parseval_sq(f.coeffs, f.N, k) ** 0.5
-    squares = to_physical(_derivative_stack(f, k), f.N) ** 2
-    if k == 2:  # all 27 squares, in (a, b, c) order
-        squares = squares[_HESSIAN_INDEX]
-    mag = np.sqrt(np.sum(squares, axis=0))
+    mag = np.sqrt(_grid_square_sum(f, k))
     if r == np.inf:
         return float(mag.max())
     return float(np.mean(mag**r) * BOX_VOLUME) ** (1.0 / r)

@@ -88,7 +88,10 @@ def read_snapshot(path) -> tuple[SpectralField, float]:
             raise ValueError(f"{path}: snapshot format {magic!r} predates the stored viscosity")
         if magic != SNAPSHOT_MAGIC:
             raise ValueError(f"not a snapshot file: bad magic {magic!r}")
-        N, ncomp, time, nu = struct.unpack("<IIdd", fh.read(24))
+        header = fh.read(24)
+        if len(header) < 24:
+            raise ValueError(f"{path}: truncated snapshot header ({len(header)} of 24 bytes)")
+        N, ncomp, time, nu = struct.unpack("<IIdd", header)
         payload = np.frombuffer(fh.read(), dtype="<c16")
     coeffs = payload.reshape(ncomp, N, N, N // 2 + 1).astype(np.complex128)
     return SpectralField(N=N, nu=nu, coeffs=coeffs), time

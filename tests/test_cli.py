@@ -403,6 +403,9 @@ REFUSED_AT_ENTRY = {
     "norms-rtilde-nan": ["norms", "--traj", "{csv}", "--k", "0", "--r", "2", "--rtilde", "nan"],
     "norms-T-nan": ["norms", "--traj", "{csv}", "--k", "0", "--r", "2", "--rtilde", "2", "--theta", "0.2", "--T", "nan"],
     "norms-T-inf": ["norms", "--traj", "{csv}", "--k", "0", "--r", "2", "--rtilde", "2", "--theta", "0.2", "--T", "inf"],
+    "norms-T-past-last-sample": [
+        "norms", "--traj", "{csv}", "--k", "0", "--r", "2", "--rtilde", "2", "--theta", "0.2", "--T", "2"
+    ],
 }
 
 

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -195,6 +196,43 @@ def test_second_derivative_norm_matches_dense_27_components(n, ic):
         assert lebesgue_norm(f, 2, r) == expected
 
 
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("ic", ["taylor_green", "random"])
+def test_gradient_norm_matches_dense_9_components(n, ic):
+    # the k = 1 norm transforms the derivatives of one u_a at a time; summing
+    # the 9 squares in (a, b) order must reproduce the dense form bit for bit
+    f = init_taylor_green(n, 0.1) if ic == "taylor_green" else random_solenoidal(n, 0.1, np.random.default_rng(5))
+    kvec = wavenumbers(n)[:3]
+    dense = np.stack([1j * kb * f.coeffs[a] for a in range(3) for kb in kvec])
+    mag = np.sqrt(np.sum(to_physical(dense, n) ** 2, axis=0))
+    for r in (1.0, 3.0, 6.0, math.inf):
+        expected = float(mag.max()) if r == math.inf else float(np.mean(mag**r) * BOX_VOLUME) ** (1.0 / r)
+        assert lebesgue_norm(f, 1, r) == expected
+
+
+def test_traced_peak_memory_of_step_and_sampler():
+    # traced peak, in N^3 float64 grids at N = 32, of a repeated
+    # nonlinear_term call (its workspace cached) and of k = 1 and k = 2
+    # quadrature samples: 9.1, 7.2 and 13.5 grids streamed, against 20.4,
+    # 19.1 and 45.0 with per-call arrays and whole derivative stacks
+    n = 32
+    f = random_solenoidal(n, 0.1, np.random.default_rng(6))
+    v = f.coeffs.reshape(3, -1)[:, kept_modes(n).index]
+    nonlinear_term(v, n)
+
+    def peak_grids(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / (n**3 * 8)
+        finally:
+            tracemalloc.stop()
+
+    assert peak_grids(lambda: nonlinear_term(v, n)) < 10.5
+    assert peak_grids(lambda: lebesgue_norm(f, 1, 3.0)) < 9.0
+    assert peak_grids(lambda: lebesgue_norm(f, 2, 3.0)) < 16.5
+
+
 def test_divergence_error_zero_field():
     f = SpectralField(N=N, nu=1.0, coeffs=np.zeros((3, N, N, N // 2 + 1), dtype=complex))
     assert divergence_error(f) == 0.0
@@ -369,6 +407,48 @@ def test_step_matches_full_array_step(n, ic):
     assert np.array_equal(f.coeffs, g.coeffs)
 
 
+def test_nonlinear_term_workspace_carries_no_state():
+    # each call overwrites the cached full and product arrays; a call on
+    # non-finite data, interleaved grid sizes and a caller mutating the
+    # returned array must leave the next call's result unchanged
+    rng = np.random.default_rng(21)
+    inputs = {}
+    for n in (16, 32):
+        a = random_solenoidal(n, 0.1, rng).coeffs.reshape(3, -1)[:, kept_modes(n).index]
+        b = a.copy()
+        b[0, 1], b[1, 2], b[2, -1] = np.nan, np.inf, -np.inf
+        inputs[n] = (a, b)
+    first = {n: nonlinear_term(a, n) for n, (a, _) in inputs.items()}
+    with np.errstate(invalid="ignore", over="ignore"):
+        for n, (_, b) in inputs.items():
+            nonlinear_term(b, n)[...] = np.nan
+    previous = first[32]
+    for n in (32, 16, 16, 32):
+        again = nonlinear_term(inputs[n][0], n)
+        assert np.array_equal(again, first[n])
+        assert not np.shares_memory(again, previous)
+        again[...] = np.nan
+        previous = again
+
+
+def test_simulate_after_blow_up_matches_one_before():
+    config = SolverConfig(
+        N=16, nu=0.05, dt=5e-3, T=0.02, sample_stride=1,
+        initial_condition="random", ic_params={"seed": 4},
+    )
+    before = simulate(config)
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("ignore")
+        with pytest.raises(NonFinite):
+            simulate(SolverConfig(N=16, nu=1e-4, dt=10.0, T=100.0, sample_stride=1))
+    after = simulate(config)
+    assert np.array_equal(after[0][-1].coeffs, before[0][-1].coeffs)
+    for pair, values in before[1].samples.items():
+        assert np.array_equal(after[1].samples[pair], values)
+    assert np.array_equal(after[2].energy, before[2].energy)
+    assert np.array_equal(after[2].dissipation, before[2].dissipation)
+
+
 def test_cfl_advisory_warning():
     # Taylor-Green at N=16 with dt=0.25 has advective CFL number 0.64
     config = SolverConfig(N=16, nu=0.1, dt=0.25, T=0.25, sample_stride=1)
@@ -515,6 +595,16 @@ def test_weighted_integral_rejects_nonintegrable():
         weighted_singular_integral(traj, 0, 2.0, 0.5, T=0.5)
 
 
+def test_weighted_integral_refuses_T_past_last_sample():
+    # the series ends at t = 1, so it says nothing about int_0^2
+    traj = NormTrajectory(times=np.array([0.0, 0.5, 1.0]), samples={(0, 2.0): np.ones(3)})
+    assert weighted_singular_integral(traj, 0, 2.0, 0.0) == 1.0
+    assert weighted_singular_integral(traj, 0, 2.0, 0.0, T=1.0 + 1e-13) == pytest.approx(1.0, rel=1e-12)
+    for T in (2.0, 1.0 + 1e-9):
+        with pytest.raises(ValueError, match="must be the last sample time"):
+            weighted_singular_integral(traj, 0, 2.0, 0.0, T=T)
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         NormTrajectory(times=np.array([0.0, 0.0]), samples={})
@@ -561,6 +651,11 @@ def test_snapshot_roundtrip(tmp_path):
     nan_nu.write_bytes(raw[:24] + struct.pack("<d", math.nan) + raw[32:])
     with pytest.raises(ValueError, match="nu=nan"):
         spio.read_snapshot(nan_nu)
+    # a file that ends inside the header
+    short = tmp_path / "short.bin"
+    short.write_bytes(b"NAVNORM2" + b"\x00" * 10)
+    with pytest.raises(ValueError, match="short.bin: truncated snapshot header"):
+        spio.read_snapshot(short)
 
 
 def test_energy_json(tmp_path):
