@@ -29,6 +29,8 @@ __all__ = [
     "kept_modes",
     "to_physical",
     "to_spectral",
+    "to_physical_kept",
+    "to_spectral_kept",
     "dealias",
     "leray_project_coeffs",
     "leray_project_in_place",
@@ -125,6 +127,74 @@ def kept_modes(N: int) -> KeptModes:
     index = np.flatnonzero(mask)
     kx, ky, kz, k2 = (np.broadcast_to(k, mask.shape).ravel()[index] for k in wavenumbers(N))
     return KeptModes(index, kx, ky, kz, np.where(k2 == 0, 1.0, k2))
+
+
+def _kept_runs(N: int):
+    """The kept wavenumbers of a full axis as two runs, 0..K and -K..-1
+    (K = N//3, which is N/3 rounded down for a power of two): each as its
+    slice of the 2K+1 kept entries and its slice of the N stored ones."""
+    K = N // 3
+    return ((slice(0, K + 1), slice(0, K + 1)), (slice(K + 1, 2 * K + 1), slice(N - K, N)))
+
+
+@functools.lru_cache(maxsize=1)
+def _zeroed_layout(ncomp: int, N: int) -> np.ndarray:
+    """The spectral layout that ``to_physical_kept`` fills; it is zero for
+    kz > N//3 at every call, and each call re-zeroes the rest."""
+    return np.zeros((ncomp, N, N, N // 2 + 1), dtype=complex)
+
+
+def to_physical_kept(coeffs: np.ndarray, N: int) -> np.ndarray:
+    """``to_physical`` of coefficients of shape (ncomp, M) on
+    ``kept_modes(N)``, zero on every other mode, bit for bit.
+
+    The kept set is a product set, so the coefficients are 4 blocks of the
+    layout.  The axes are transformed in irfftn's order, each line alone
+    and in place, skipping the lines that are still zero: along x only the
+    kept (ky, kz) lines, along y only the kz <= K lines, then the c2r
+    transform along z.  The layout is cached for the most recent (ncomp,
+    N), so the function is not re-entrant.  The returned grid is fresh.
+    """
+    import scipy.fft
+
+    K, workers = N // 3, fft_workers()
+    full = _zeroed_layout(coeffs.shape[0], N)
+    slab = full[..., : K + 1]
+    slab[...] = 0.0
+    blocks = coeffs.reshape(-1, 2 * K + 1, 2 * K + 1, K + 1)
+    runs = _kept_runs(N)
+    for bx, x in runs:
+        for by, y in runs:
+            slab[:, x, y] = blocks[:, bx, by]
+    for _, y in runs:
+        scipy.fft.ifft(slab[:, :, y], axis=1, norm="forward", overwrite_x=True, workers=workers)
+    scipy.fft.ifft(slab, axis=2, norm="forward", overwrite_x=True, workers=workers)
+    return scipy.fft.irfft(full, n=N, axis=-1, norm="forward", workers=workers)
+
+
+def to_spectral_kept(u: np.ndarray) -> np.ndarray:
+    """``to_spectral(u)`` on the modes ``kept_modes(N)`` lists, in its
+    order, for u of shape (ncomp, N, N, N), bit for bit.
+
+    The axes are transformed in rfftn's order: the r2c transform along z,
+    then in place along x only the kz <= K lines, and along y only the
+    lines of kept kx.  Each axis scales by 1/N; N is a power of two, so
+    that is exactly rfftn's 1/N^3.
+    """
+    import scipy.fft
+
+    N = u.shape[-1]
+    K, workers = N // 3, fft_workers()
+    slab = scipy.fft.rfft(u, axis=-1, norm="forward", workers=workers)[..., : K + 1]
+    scipy.fft.fft(slab, axis=1, norm="forward", overwrite_x=True, workers=workers)
+    runs = _kept_runs(N)
+    for _, x in runs:
+        scipy.fft.fft(slab[:, x], axis=2, norm="forward", overwrite_x=True, workers=workers)
+    blocks = np.empty((u.shape[0], 2 * K + 1, 2 * K + 1, K + 1), dtype=complex)
+    for bx, x in runs:
+        for by, y in runs:
+            blocks[:, bx, by] = slab[:, x, y]
+    return blocks.reshape(u.shape[0], -1)
 
 
 @dataclass

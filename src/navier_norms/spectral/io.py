@@ -87,11 +87,17 @@ def read_snapshot(path) -> tuple[SpectralField, float]:
         if magic == _SNAPSHOT_MAGIC_V1:
             raise ValueError(f"{path}: snapshot format {magic!r} predates the stored viscosity")
         if magic != SNAPSHOT_MAGIC:
-            raise ValueError(f"not a snapshot file: bad magic {magic!r}")
+            raise ValueError(f"{path}: not a snapshot file: bad magic {magic!r}")
         header = fh.read(24)
         if len(header) < 24:
             raise ValueError(f"{path}: truncated snapshot header ({len(header)} of 24 bytes)")
         N, ncomp, time, nu = struct.unpack("<IIdd", header)
-        payload = np.frombuffer(fh.read(), dtype="<c16")
-    coeffs = payload.reshape(ncomp, N, N, N // 2 + 1).astype(np.complex128)
+        payload = fh.read()
+    expected = ncomp * N * N * (N // 2 + 1) * 16
+    if len(payload) != expected:
+        raise ValueError(
+            f"{path}: snapshot payload is {len(payload)} bytes, its header"
+            f" (N={N}, {ncomp} components) needs {expected}"
+        )
+    coeffs = np.frombuffer(payload, dtype="<c16").reshape(ncomp, N, N, N // 2 + 1).astype(np.complex128)
     return SpectralField(N=N, nu=nu, coeffs=coeffs), time

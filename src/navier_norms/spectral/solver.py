@@ -73,36 +73,38 @@ _SYM_ROWS = [[sf.SYM_INDEX[a, b] for a in range(3)] for b in range(3)]
 
 
 @functools.lru_cache(maxsize=1)
-def _workspace(N: int):
-    """The full spectral array, zero off the kept modes, and the product
-    array that every ``nonlinear_term`` call at this N writes into."""
-    return np.zeros((3, N, N, N // 2 + 1), dtype=complex), np.empty((6, N, N, N))
+def _products(N: int) -> np.ndarray:
+    """The product array that every ``nonlinear_term`` call at this N
+    writes into."""
+    return np.empty((6, N, N, N))
 
 
 def nonlinear_term(coeffs: np.ndarray, N: int) -> np.ndarray:
     """-P[i k_b F(u_a u_b)] on the modes the 2/3 rule keeps.
 
     Takes and returns coefficients of shape (3, M) on ``field.kept_modes(N)``;
-    every other mode of the input and the output is zero, so scattering the
-    input onto the full layout is its dealiasing.  The quadratic term is
-    formed pseudo-spectrally, alias-free under the 2/3 rule, from the six
-    independent entries of the symmetric product tensor.
+    every other mode of the input and the output is zero, so the input is
+    its own dealiasing.  The quadratic term is formed pseudo-spectrally,
+    alias-free under the 2/3 rule, from the six independent entries of the
+    symmetric product tensor.  The transforms are the pruned pair
+    ``to_physical_kept`` and ``to_spectral_kept``, which skip the lines the
+    2/3 rule leaves zero and give the full transforms' values bit for bit.
 
-    The full and product arrays are a workspace cached for the most recent
-    N, so the function is not re-entrant: no two threads may step at once
-    (the FFT workers only read it).  The returned array is fresh.
+    The product array and the inverse transform's spectral layout are
+    workspaces cached for the most recent N, so the function is not
+    re-entrant: no two threads may step at once (the FFT workers only read
+    them).  The returned array is fresh.
     """
     kept = sf.kept_modes(N)
-    full, prod = _workspace(N)
-    full.reshape(3, -1)[:, kept.index] = coeffs
-    u = sf.to_physical(full, N)
+    prod = _products(N)
+    u = sf.to_physical_kept(coeffs, N)
     for i, (a, b) in enumerate(sf.SYM_PAIRS):
         np.multiply(u[a], u[b], out=prod[i])
     # the result takes the freed velocity's memory before the forward
     # transform, so the stage results kept across calls fragment no block
     del u
     out = np.empty(coeffs.shape, dtype=complex)
-    hat = sf.to_spectral(prod).reshape(6, -1)[:, kept.index]
+    hat = sf.to_spectral_kept(prod)
     np.multiply(-1j, kept.kx * hat[_SYM_ROWS[0]] + kept.ky * hat[_SYM_ROWS[1]] + kept.kz * hat[_SYM_ROWS[2]], out=out)
     return sf.leray_project_in_place(out, kept.kx, kept.ky, kept.kz, kept.k2_safe)
 

@@ -33,7 +33,9 @@ from navier_norms.spectral.field import (
     leray_project_coeffs,
     parseval_sq,
     to_physical,
+    to_physical_kept,
     to_spectral,
+    to_spectral_kept,
     wavenumbers,
 )
 from navier_norms.spectral.solver import nonlinear_term
@@ -431,6 +433,83 @@ def test_nonlinear_term_workspace_carries_no_state():
         previous = again
 
 
+@pytest.mark.parametrize("threads", [None, "1"])
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_pruned_transforms_match_full_transforms(monkeypatch, n, threads):
+    # random data on every kept mode, the |kx| = K, |ky| = K and kz = K
+    # edges included: the pruned pair gives the full transforms' bits
+    if threads is None:
+        monkeypatch.delenv("NAVIER_NORMS_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("NAVIER_NORMS_THREADS", threads)
+    rng = np.random.default_rng(n)
+    kept = kept_modes(n)
+    K = n // 3
+    assert len(kept.index) == (2 * K + 1) ** 2 * (K + 1)
+    assert {-K, K} <= set(kept.kx) and {-K, K} <= set(kept.ky) and max(kept.kz) == K
+    coeffs = rng.standard_normal((3, len(kept.index))) + 1j * rng.standard_normal((3, len(kept.index)))
+    assert np.all(coeffs != 0)
+    full = np.zeros((3, n, n, n // 2 + 1), dtype=complex)
+    full.reshape(3, -1)[:, kept.index] = coeffs
+    for _ in range(2):  # the second call reuses the cached layout
+        assert np.array_equal(to_physical_kept(coeffs, n), to_physical(full, n))
+    u = rng.standard_normal((6, n, n, n))
+    assert np.array_equal(to_spectral_kept(u), to_spectral(u).reshape(6, -1)[:, kept.index])
+
+
+def _truncated(f):
+    """The field with every mode outside the 2/3 rule set to zero."""
+    return SpectralField(N=f.N, nu=f.nu, coeffs=dealias(f.coeffs, f.N))
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("ic", ["taylor_green", "random"])
+def test_nonlinear_term_equals_rotational_form(n, ic):
+    # On 2/3-truncated data both u (x) u and u x omega are alias-free on the
+    # kept modes, and -div(u (x) u) = u x omega - grad(|u|^2 / 2) for
+    # solenoidal u, so P[u x omega] is the nonlinear term.  It is built here
+    # from the full transforms, the curl and the full-layout projection, and
+    # shares no product layout, row table or pruned transform with it.
+    f = init_taylor_green(n, 0.1) if ic == "taylor_green" else random_solenoidal(n, 0.1, np.random.default_rng(16), decay=1.0)
+    f = _truncated(f)
+    u = to_physical(f.coeffs, n)
+    w = to_physical(vorticity(f).coeffs, n)
+    cross = np.stack([u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0]])
+    expected = dealias(leray_project_coeffs(to_spectral(cross), n), n)
+    index = kept_modes(n).index
+    got = np.zeros_like(f.coeffs)
+    got.reshape(3, -1)[:, index] = nonlinear_term(f.coeffs.reshape(3, -1)[:, index], n)
+    assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+def _abc_flow(n, nu, A=1.0, B=0.7, C=0.4):
+    """The Arnold-Beltrami-Childress field, whose curl is itself."""
+    x = np.arange(n) * (2.0 * np.pi / n)
+    X, Y, Z = x[:, None, None], x[None, :, None], x[None, None, :]
+    u = np.empty((3, n, n, n))
+    u[0] = A * np.sin(Z) + C * np.cos(Y)
+    u[1] = B * np.sin(X) + A * np.cos(Z)
+    u[2] = C * np.sin(Y) + B * np.cos(X)
+    return SpectralField(N=n, nu=nu, coeffs=to_spectral(u))
+
+
+@pytest.mark.parametrize("n, steps", [(16, 10), (32, 200)])
+def test_abc_flow_decays_exactly(n, steps):
+    """The ABC flow has omega = u, so its advection (u.grad)u = grad(|u|^2/2)
+    is a gradient that the projection removes, and u(t) = exp(-nu t) u0.
+
+    The test catches a dropped projection or swapped derivative rows, but
+    not a flipped advection sign (nor a wrong stage factor): the nonlinear
+    term is zero here whatever its sign."""
+    nu, dt = 0.1, 2e-3
+    f0 = _truncated(_abc_flow(n, nu))
+    f = f0
+    for _ in range(steps):
+        f = step(f, dt)
+    expected = np.exp(-nu * steps * dt) * f0.coeffs
+    assert np.linalg.norm(f.coeffs - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
 def test_simulate_after_blow_up_matches_one_before():
     config = SolverConfig(
         N=16, nu=0.05, dt=5e-3, T=0.02, sample_stride=1,
@@ -638,7 +717,7 @@ def test_snapshot_roundtrip(tmp_path):
     assert np.array_equal(g.coeffs, f.coeffs)
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-    with pytest.raises(ValueError, match="bad magic"):
+    with pytest.raises(ValueError, match="bad.bin: not a snapshot file: bad magic"):
         spio.read_snapshot(bad)
     # the first format had no viscosity in its header
     v1 = tmp_path / "v1.bin"
@@ -656,6 +735,20 @@ def test_snapshot_roundtrip(tmp_path):
     short.write_bytes(b"NAVNORM2" + b"\x00" * 10)
     with pytest.raises(ValueError, match="short.bin: truncated snapshot header"):
         spio.read_snapshot(short)
+
+
+@pytest.mark.parametrize("cut, extra", [(16, b""), (3, b""), (0, b"\x00" * 16)])
+def test_snapshot_payload_length_must_match_header(tmp_path, cut, extra):
+    # 32 header bytes, then 3 * 8 * 8 * 5 coefficients of 16 bytes
+    path = tmp_path / "snap.bin"
+    spio.write_snapshot(random_solenoidal(8, 0.1, np.random.default_rng(2)), 0.5, path)
+    raw = path.read_bytes()
+    assert len(raw) == 32 + 15360
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(raw[: len(raw) - cut] + extra)
+    size = 15360 - cut + len(extra)
+    with pytest.raises(ValueError, match=f"bad.bin: snapshot payload is {size} bytes, .* needs 15360"):
+        spio.read_snapshot(bad)
 
 
 def test_energy_json(tmp_path):
