@@ -31,6 +31,8 @@ __all__ = [
     "to_spectral",
     "to_physical_kept",
     "to_spectral_kept",
+    "gather_kept",
+    "scatter_kept",
     "dealias",
     "leray_project_coeffs",
     "leray_project_in_place",
@@ -40,6 +42,7 @@ __all__ = [
     "biot_savart",
     "divergence_error",
     "parseval_sq",
+    "parseval_sums",
     "spectral_l2_sq",
     "spectral_gradient_l2_sq",
     "lebesgue_norm",
@@ -137,6 +140,34 @@ def _kept_runs(N: int):
     return ((slice(0, K + 1), slice(0, K + 1)), (slice(K + 1, 2 * K + 1), slice(N - K, N)))
 
 
+def gather_kept(a: np.ndarray) -> np.ndarray:
+    """The modes ``kept_modes(N)`` lists, in its order, of ``a`` of shape
+    (ncomp, N, N, L) with L > N//3, as a fresh array of shape (ncomp, M).
+
+    The kept set is a product set, so this is 4 block copies."""
+    N = a.shape[1]
+    K = N // 3
+    blocks = np.empty((a.shape[0], 2 * K + 1, 2 * K + 1, K + 1), dtype=a.dtype)
+    runs = _kept_runs(N)
+    for bx, x in runs:
+        for by, y in runs:
+            blocks[:, bx, by] = a[:, x, y, : K + 1]
+    return blocks.reshape(a.shape[0], -1)
+
+
+def scatter_kept(kept: np.ndarray, a: np.ndarray) -> None:
+    """Write ``kept``, of shape (ncomp, M) on ``kept_modes(N)``, into those
+    modes of ``a`` of shape (ncomp, N, N, L) with L > N//3, as 4 block
+    copies; every other mode of ``a`` is left as it is."""
+    N = a.shape[1]
+    K = N // 3
+    blocks = kept.reshape(-1, 2 * K + 1, 2 * K + 1, K + 1)
+    runs = _kept_runs(N)
+    for bx, x in runs:
+        for by, y in runs:
+            a[:, x, y, : K + 1] = blocks[:, bx, by]
+
+
 @functools.lru_cache(maxsize=1)
 def _zeroed_layout(ncomp: int, N: int) -> np.ndarray:
     """The spectral layout that ``to_physical_kept`` fills; it is zero for
@@ -148,12 +179,12 @@ def to_physical_kept(coeffs: np.ndarray, N: int) -> np.ndarray:
     """``to_physical`` of coefficients of shape (ncomp, M) on
     ``kept_modes(N)``, zero on every other mode, bit for bit.
 
-    The kept set is a product set, so the coefficients are 4 blocks of the
-    layout.  The axes are transformed in irfftn's order, each line alone
-    and in place, skipping the lines that are still zero: along x only the
-    kept (ky, kz) lines, along y only the kz <= K lines, then the c2r
-    transform along z.  The layout is cached for the most recent (ncomp,
-    N), so the function is not re-entrant.  The returned grid is fresh.
+    The coefficients are scattered into the layout, and the axes are
+    transformed in irfftn's order, each line alone and in place, skipping
+    the lines that are still zero: along x only the kept (ky, kz) lines,
+    along y only the kz <= K lines, then the c2r transform along z.  The
+    layout is cached for the most recent (ncomp, N), so the function is not
+    re-entrant.  The returned grid is fresh.
     """
     import scipy.fft
 
@@ -161,12 +192,8 @@ def to_physical_kept(coeffs: np.ndarray, N: int) -> np.ndarray:
     full = _zeroed_layout(coeffs.shape[0], N)
     slab = full[..., : K + 1]
     slab[...] = 0.0
-    blocks = coeffs.reshape(-1, 2 * K + 1, 2 * K + 1, K + 1)
-    runs = _kept_runs(N)
-    for bx, x in runs:
-        for by, y in runs:
-            slab[:, x, y] = blocks[:, bx, by]
-    for _, y in runs:
+    scatter_kept(coeffs, slab)
+    for _, y in _kept_runs(N):
         scipy.fft.ifft(slab[:, :, y], axis=1, norm="forward", overwrite_x=True, workers=workers)
     scipy.fft.ifft(slab, axis=2, norm="forward", overwrite_x=True, workers=workers)
     return scipy.fft.irfft(full, n=N, axis=-1, norm="forward", workers=workers)
@@ -187,14 +214,9 @@ def to_spectral_kept(u: np.ndarray) -> np.ndarray:
     K, workers = N // 3, fft_workers()
     slab = scipy.fft.rfft(u, axis=-1, norm="forward", workers=workers)[..., : K + 1]
     scipy.fft.fft(slab, axis=1, norm="forward", overwrite_x=True, workers=workers)
-    runs = _kept_runs(N)
-    for _, x in runs:
+    for _, x in _kept_runs(N):
         scipy.fft.fft(slab[:, x], axis=2, norm="forward", overwrite_x=True, workers=workers)
-    blocks = np.empty((u.shape[0], 2 * K + 1, 2 * K + 1, K + 1), dtype=complex)
-    for bx, x in runs:
-        for by, y in runs:
-            blocks[:, bx, by] = slab[:, x, y]
-    return blocks.reshape(u.shape[0], -1)
+    return gather_kept(slab)
 
 
 @dataclass
@@ -321,12 +343,26 @@ def divergence_error(f: SpectralField, rel_floor: float = 1e-6) -> float:
     return float(np.max(kdotu[mask] / (kmag[mask] * umag[mask])))
 
 
+@functools.lru_cache(maxsize=8)
+def _parseval_weights(N: int, m: int) -> np.ndarray:
+    """hermitian_weights(N) * |k|^(2m); for m = 0 the weights alone, which
+    multiply |uhat|^2 to the same values."""
+    _, _, _, k2 = wavenumbers(N)
+    return hermitian_weights(N) * k2**m if m else hermitian_weights(N)
+
+
+def parseval_sums(coeffs: np.ndarray, N: int, orders) -> list[float]:
+    """``parseval_sq(coeffs, N, m)`` for each m in ``orders``, from one
+    |uhat|^2 pass."""
+    sq = np.abs(coeffs) ** 2
+    return [float(BOX_VOLUME * np.sum(_parseval_weights(N, m) * sq)) for m in orders]
+
+
 def parseval_sq(coeffs: np.ndarray, N: int, m: int) -> float:
     """Parseval sum (2pi)^3 sum_k |k|^(2m) |uhat(k)|^2 over the full lattice:
     |grad^m u|^2 in L^2 for the Frobenius magnitude of the derivative
     tensor, since sum_{a,b,c} |k_b k_c uhat_a|^2 = |k|^4 |uhat|^2."""
-    _, _, _, k2 = wavenumbers(N)
-    return float(BOX_VOLUME * np.sum(hermitian_weights(N) * k2**m * np.abs(coeffs) ** 2))
+    return parseval_sums(coeffs, N, (m,))[0]
 
 
 def spectral_l2_sq(coeffs: np.ndarray, N: int) -> float:

@@ -116,8 +116,7 @@ def _integrating_factors(N: int, nu: float, dt: float):
     _, _, _, k2 = sf.wavenumbers(N)
     E = np.exp(-nu * k2 * (dt / 2.0))
     E2 = E * E
-    index = sf.kept_modes(N).index
-    return E.ravel()[index], E2.ravel()[index], E2
+    return sf.gather_kept(E[None])[0], sf.gather_kept(E2[None])[0], E2
 
 
 def step(state: sf.SpectralField, dt: float) -> sf.SpectralField:
@@ -128,14 +127,13 @@ def step(state: sf.SpectralField, dt: float) -> sf.SpectralField:
     """
     N, nu = state.N, state.nu
     E, E2, E2_full = _integrating_factors(N, nu, dt)
-    index = sf.kept_modes(N).index
-    v = state.coeffs.reshape(3, -1)[:, index]
+    v = sf.gather_kept(state.coeffs)
     a = nonlinear_term(v, N)
     b = nonlinear_term(E * (v + (dt / 2.0) * a), N)
     c = nonlinear_term(E * v + (dt / 2.0) * b, N)
     d = nonlinear_term(E2 * v + dt * E * c, N)
     new = E2_full * state.coeffs
-    new.reshape(3, -1)[:, index] = E2 * v + (dt / 6.0) * (E2 * a + 2.0 * E * (b + c) + d)
+    sf.scatter_kept(E2 * v + (dt / 6.0) * (E2 * a + 2.0 * E * (b + c) + d), new)
     return sf.SpectralField(N=N, nu=nu, coeffs=new)
 
 
@@ -166,8 +164,9 @@ def simulate(config: SolverConfig, on_sample: Callable | None = None):
 
     def record_energy(t: float, f: sf.SpectralField) -> None:
         step_times.append(t)
-        energy.append(0.5 * sf.spectral_l2_sq(f.coeffs, N))
-        dissipation.append(config.nu * sf.spectral_gradient_l2_sq(f.coeffs, N))
+        u_sq, grad_sq = sf.parseval_sums(f.coeffs, N, (0, 1))
+        energy.append(0.5 * u_sq)
+        dissipation.append(config.nu * grad_sq)
 
     def sample(t: float, f: sf.SpectralField) -> None:
         sample_times.append(t)
