@@ -68,15 +68,11 @@ class SolverConfig:
         return sf.random_solenoidal(self.N, self.nu, rng, decay=float(self.ic_params.get("decay", 2.0)))
 
 
-# the rows SYM_INDEX[a, b] over a = 0, 1, 2, one row for each b
-_SYM_ROWS = [[sf.SYM_INDEX[a, b] for a in range(3)] for b in range(3)]
-
-
 @functools.lru_cache(maxsize=1)
 def _products(N: int) -> np.ndarray:
     """The product array that every ``nonlinear_term`` call at this N
     writes into."""
-    return np.empty((6, N, N, N))
+    return np.empty((5, N, N, N))
 
 
 def nonlinear_term(coeffs: np.ndarray, N: int) -> np.ndarray:
@@ -85,10 +81,14 @@ def nonlinear_term(coeffs: np.ndarray, N: int) -> np.ndarray:
     Takes and returns coefficients of shape (3, M) on ``field.kept_modes(N)``;
     every other mode of the input and the output is zero, so the input is
     its own dealiasing.  The quadratic term is formed pseudo-spectrally,
-    alias-free under the 2/3 rule, from the six independent entries of the
-    symmetric product tensor.  The transforms are the pruned pair
-    ``to_physical_kept`` and ``to_spectral_kept``, which skip the lines the
-    2/3 rule leaves zero and give the full transforms' values bit for bit.
+    alias-free under the 2/3 rule, from the shifted stress u_a u_b -
+    delta_ab u_z^2 (Basdevant, J. Comput. Phys. 50, 1983), whose zz entry is
+    zero: five products are transformed, not six.  The shift adds
+    -i k_a F(u_z^2), a gradient, which the Leray projection P removes
+    exactly, so the result changes only in roundoff.  The transforms are
+    the pruned pair ``to_physical_kept`` and ``to_spectral_kept``, which
+    skip the lines the 2/3 rule leaves zero and give the full transforms'
+    values bit for bit.
 
     The product array and the inverse transform's spectral layout are
     workspaces cached for the most recent N, so the function is not
@@ -98,15 +98,25 @@ def nonlinear_term(coeffs: np.ndarray, N: int) -> np.ndarray:
     kept = sf.kept_modes(N)
     prod = _products(N)
     u = sf.to_physical_kept(coeffs, N)
-    for i, (a, b) in enumerate(sf.SYM_PAIRS):
-        np.multiply(u[a], u[b], out=prod[i])
+    # rows xx, xy, xz, yy, yz; u_z^2 waits in the yz row
+    np.multiply(u[2], u[2], out=prod[4])
+    np.multiply(u[0], u[0], out=prod[0])
+    np.subtract(prod[0], prod[4], out=prod[0])
+    np.multiply(u[1], u[1], out=prod[3])
+    np.subtract(prod[3], prod[4], out=prod[3])
+    np.multiply(u[0], u[1], out=prod[1])
+    np.multiply(u[0], u[2], out=prod[2])
+    np.multiply(u[1], u[2], out=prod[4])
     # the result takes the freed velocity's memory before the forward
     # transform, so the stage results kept across calls fragment no block
     del u
     out = np.empty(coeffs.shape, dtype=complex)
-    hat = sf.to_spectral_kept(prod)
-    np.multiply(-1j, kept.kx * hat[_SYM_ROWS[0]] + kept.ky * hat[_SYM_ROWS[1]] + kept.kz * hat[_SYM_ROWS[2]], out=out)
-    return sf.leray_project_in_place(out, kept.kx, kept.ky, kept.kz, kept.k2_safe)
+    xx, xy, xz, yy, yz = sf.to_spectral_kept(prod)
+    kx, ky, kz = kept.kx, kept.ky, kept.kz
+    np.multiply(-1j, kx * xx + ky * xy + kz * xz, out=out[0])
+    np.multiply(-1j, kx * xy + ky * yy + kz * yz, out=out[1])
+    np.multiply(-1j, kx * xz + ky * yz, out=out[2])
+    return sf.leray_project_in_place(out, kx, ky, kz, kept.k2_safe)
 
 
 @functools.lru_cache(maxsize=8)
