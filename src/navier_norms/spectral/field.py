@@ -54,7 +54,7 @@ TWO_PI = 2.0 * np.pi
 BOX_VOLUME = TWO_PI**3
 
 # the six independent entries (b, c) of a symmetric 3x3 tensor, such as
-# u_b u_c or d_b d_c, and the flat index of every (b, c) within them
+# the second derivatives d_b d_c, and the flat index of every (b, c) within them
 SYM_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 SYM_INDEX = {(b, c): i for i, (b, c) in enumerate(SYM_PAIRS)}
 SYM_INDEX.update({(c, b): i for i, (b, c) in enumerate(SYM_PAIRS)})
@@ -351,7 +351,7 @@ def _parseval_weights(N: int, m: int) -> np.ndarray:
     return hermitian_weights(N) * k2**m if m else hermitian_weights(N)
 
 
-def parseval_sums(coeffs: np.ndarray, N: int, orders) -> list[float]:
+def parseval_sums(coeffs: np.ndarray, N: int, orders: tuple[int, ...]) -> list[float]:
     """``parseval_sq(coeffs, N, m)`` for each m in ``orders``, from one
     |uhat|^2 pass."""
     sq = np.abs(coeffs) ** 2

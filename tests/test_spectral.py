@@ -376,7 +376,8 @@ def _full_array_step(state, dt):
     def nonlinear(coeffs):
         u = to_physical(dealias(coeffs, n), n)
         zz = u[2] * u[2]
-        xx, xy, xz, yy, yz = to_spectral(np.stack([u[0] * u[0] - zz, u[0] * u[1], u[0] * u[2], u[1] * u[1] - zz, u[1] * u[2]]))
+        tau = np.stack([u[0] * u[0] - zz, u[0] * u[1], u[0] * u[2], u[1] * u[1] - zz, u[1] * u[2]])
+        xx, xy, xz, yy, yz = to_spectral(tau)
         out = np.empty_like(coeffs)
         out[0] = -1j * (kx * xx + ky * xy + kz * xz)
         out[1] = -1j * (kx * xy + ky * yy + kz * yz)
