@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, bihari, curves
 from .config import RunConfig, RunManifest, format_float, parse_norm_pairs
 from .errors import HypothesisFailed, NavierNormsError, NoConvergence, NonFinite, NonIntegrable
-from .extrational import Q
+from .extrational import INF, Q
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -196,9 +196,9 @@ def _curve_verdict(k: int, r: float, r_tilde: float) -> str:
     if r_tilde < 1.0:
         return "inadmissible: r_tilde < 1"
     try:
-        r_exact = Q(Fraction(r).limit_denominator(10**6))
+        r_exact = INF if r == math.inf else Q(Fraction(r).limit_denominator(10**6))
         point = curves.derivative_curve(k, r_exact)
-    except (OverflowError, ValueError):  # ExponentError, NoBranch, or r = inf / nan
+    except (OverflowError, ValueError):  # ExponentError, NoBranch, or r = -inf / nan
         return "off-curve: r outside the stated intervals"
     if not point.admissible or point.r_tilde is None:
         return f"inadmissible: {point.reason}"

@@ -107,56 +107,62 @@ class CurveBranch:
         )
 
 
-# Velocity / gradient curves, each branch stated as 1/rt in x = 1/r:
-#   k=0:  4/rt + 6/r = 3  on [2,6]   -> 1/rt = 3/4 - (3/2)x
-#         1/rt + 3/r = 1  on [6,inf] -> 1/rt = 1 - 3x
-#   k=1:  1/rt + 3/r = 2  on [2,3]   -> 1/rt = 2 - 3x
-#         rt = r(r-4)/(4r^2-13r+6)   on (3,6]   -> 1/rt = (4 - 13x + 6x^2)/(1 - 4x)
-#   k=2:  2/rt + 3/r = 4  on (1,3/2) -> 1/rt = 2 - (3/2)x
-#         rt = 2r(3r-4)/(13r^2-26r+12) on [3/2,2) -> 1/rt = (13 - 26x + 12x^2)/(6 - 8x)
-#         1/rt + 6/r = 9  on [2,inf) -> 1/rt = 9 - 6x
-#
-# The k=1 branches are discontinuous at r=3 (values 1 vs -1); the breakpoint
-# is assigned to the first branch, whose value there is the admissible one.
+def _segment(p, p_t, q, q_t) -> tuple:
+    """The rule (c0, c1), 1/r_tilde = c0 + c1 x, of the mixed-norm
+    interpolation segment between the estimates L^{p_t}_T L^p and
+    L^{q_t}_T L^q: on it 1/r_tilde is linear in 1/r (Bergh & Lofstrom,
+    Interpolation Spaces, 1976, section 5.1)."""
+    x0, y0, x1, y1 = (Q(v).inv() for v in (p, p_t, q, q_t))
+    slope = (y1 - y0) / (x1 - x0)
+    return (y0 - slope * x0).as_fraction(), slope.as_fraction()
+
+
+def _sobolev_shift(rule: tuple) -> tuple:
+    """The linear rule c0 + c1 (x + 1/3) of the rule (c0, c1): the 3-d
+    Sobolev embedding, 1/r -> 1/r + 1/3, moves a gradient's rule one order
+    down."""
+    c0, c1 = rule
+    return c0 + Fraction(c1, 3), c1
+
+
+# Each segment runs between its (r, r_tilde) endpoint estimates.  The k=1
+# branches are discontinuous at r=3 (values 1 vs -1); the breakpoint is
+# assigned to the first branch, whose value there is the admissible one.
 # Neither quadratic numerator has a rational root (discriminants 73 and 52),
 # so no rational r makes a ratio branch 0/0.
 _DERIVATIVE_BRANCHES = {
     0: [
-        CurveBranch("k0_energy", Q(2), Q(6), True, True, (Fraction(3, 4), Fraction(-3, 2))),
-        CurveBranch("k0_high", Q(6), INF, True, True, (1, -3)),
+        CurveBranch("k0_energy", Q(2), Q(6), True, True, _segment(2, INF, 6, 2)),
+        CurveBranch("k0_high", Q(6), INF, True, True, _segment(6, 2, INF, 1)),
     ],
     1: [
-        CurveBranch("k1_low", Q(2), Q(3), True, True, (2, -3)),
+        CurveBranch("k1_low", Q(2), Q(3), True, True, _segment(2, 2, 3, 1)),
         CurveBranch("k1_mid", Q(3), Q(6), False, True, (4, -13, 6), (1, -4)),
     ],
     2: [
-        CurveBranch("k2_low", Q(1), Q(3, 2), False, False, (2, Fraction(-3, 2))),
+        CurveBranch("k2_low", Q(1), Q(3, 2), False, False, _segment(1, 2, Q(3, 2), 1)),
         CurveBranch("k2_mid", Q(3, 2), Q(2), True, False, (13, -26, 12), (6, -8)),
-        CurveBranch("k2_high", Q(2), INF, True, False, (9, -6)),
+        CurveBranch("k2_high", Q(2), INF, True, False, _segment(2, Q(1, 6), INF, Q(1, 9))),
     ],
 }
 
-# Refined curves from further interpolation / Sobolev embedding, as 1/rt in x = 1/r:
-#   grad2:  1/rt + 1/r  > 3/2  -> boundary 1/rt = 3/2 - x    on (1, 4/3]
-#           1/rt + 3/r  > 3    -> boundary 1/rt = 3 - 3x     on (4/3, 3/2)
-#           1/rt + 3/r  = 3    -> 1/rt = 3 - 3x              on [3/2, 2]
-#           1/rt + 15/r = 9    -> 1/rt = 9 - 15x             on [2, inf)
-#   grad1:  1/rt + 3/r  = 2    -> 1/rt = 2 - 3x              on (2, 6]
-#           1/rt + 15/r = 4    -> 1/rt = 4 - 15x             on (6, inf)
-#   velocity: 1/rt + 3/r = 1   -> 1/rt = 1 - 3x              on (6, inf)
+# grad2_low and grad2_mid share one rule, a strict inequality below r = 3/2;
+# the grad1 and velocity rules are grad2's moved down by Sobolev shifts
+_GRAD2_MID, _GRAD2_HIGH = (3, -3), (9, -15)
+_GRAD1_LOW = _sobolev_shift(_GRAD2_MID)
 _REFINED_BRANCHES = {
     "grad2": [
         CurveBranch("grad2_lowest", Q(1), Q(4, 3), False, True, (Fraction(3, 2), -1), open_bound=True),
-        CurveBranch("grad2_low", Q(4, 3), Q(3, 2), False, False, (3, -3), open_bound=True),
-        CurveBranch("grad2_mid", Q(3, 2), Q(2), True, True, (3, -3)),
-        CurveBranch("grad2_high", Q(2), INF, True, False, (9, -15)),
+        CurveBranch("grad2_low", Q(4, 3), Q(3, 2), False, False, _GRAD2_MID, open_bound=True),
+        CurveBranch("grad2_mid", Q(3, 2), Q(2), True, True, _GRAD2_MID),
+        CurveBranch("grad2_high", Q(2), INF, True, False, _GRAD2_HIGH),
     ],
     "grad1": [
-        CurveBranch("grad1_low", Q(2), Q(6), False, True, (2, -3)),
-        CurveBranch("grad1_high", Q(6), INF, False, False, (4, -15)),
+        CurveBranch("grad1_low", Q(2), Q(6), False, True, _GRAD1_LOW),
+        CurveBranch("grad1_high", Q(6), INF, False, False, _sobolev_shift(_GRAD2_HIGH)),
     ],
     "velocity": [
-        CurveBranch("velocity_high", Q(6), INF, False, False, (1, -3)),
+        CurveBranch("velocity_high", Q(6), INF, False, False, _sobolev_shift(_GRAD1_LOW)),
     ],
 }
 

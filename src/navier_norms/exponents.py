@@ -250,35 +250,21 @@ def f_family(which: str, r: ExtRational, p: ExtRational) -> ExtRational:
     return ExtRational(_poly_eval(num_c, rf, pf) / den)
 
 
-def _sign_name(x: Fraction) -> str:
-    if x > 0:
-        return "positive"
-    if x < 0:
-        return "negative"
-    return "zero"
-
-
 def f_family_dp_sign(which: str, r: ExtRational) -> str:
     """Sign of d/dp of the named family at fixed r (independent of p).
 
-    Closed forms of the derivatives (squared denominators dropped):
-      F1:      6 r (r - 6) / (.)^2
-      F2:      3 (r-3)(r-1)(5r-6) / (r (.)^2)
-      F3:     -r (r-4)(r-3)(r-1)(5r-6) / ((r-2) (.)^2)
-      F3tilde: -6 r^2 (5r-6) / (.)^2
+    Every family is linear in p, N(p)/D(p) = (N0 + p N1)/(D0 + p D1), so
+    d/dp = (N1 D0 - N0 D1)/D(p)^2, and N1 D0 - N0 D1 = N(1) D(0) - N(0) D(1).
+    The derivative is undefined where D vanishes for every p (F3 at r = 2).
     """
     r = Q(r)
     if not (r.is_finite and r > Q(1)):
         raise OutOfRange(f"r={r} must be finite and > 1")
+    if which not in F_FAMILIES:
+        raise KeyError(f"unknown family {which!r}")
     rf = r.as_fraction()
-    if which == "F1":
-        return _sign_name(rf * (rf - 6))
-    if which == "F2":
-        return _sign_name((rf - 3) * (rf - 1) * (5 * rf - 6))
-    if which == "F3":
-        if rf == 2:
-            raise Pole("F3 derivative undefined at r = 2")
-        return _sign_name(-rf * (rf - 4) * (rf - 3) * (rf - 1) * (5 * rf - 6) / (rf - 2))
-    if which == "F3tilde":
-        return _sign_name(-(5 * rf - 6))
-    raise KeyError(f"unknown family {which!r}")
+    num, den = ([_poly_eval(c, rf, Fraction(p)) for p in (0, 1)] for c in F_FAMILIES[which])
+    if den == [0, 0]:
+        raise Pole(f"{which} derivative undefined at r = {r}")
+    dp_num = num[1] * den[0] - num[0] * den[1]
+    return "positive" if dp_num > 0 else "negative" if dp_num < 0 else "zero"

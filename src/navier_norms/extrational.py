@@ -10,6 +10,7 @@ conventions are the ones used throughout Lebesgue-exponent bookkeeping:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 from numbers import Rational
 
 from .errors import UndefinedExtendedValue
@@ -17,6 +18,7 @@ from .errors import UndefinedExtendedValue
 __all__ = ["ExtRational", "INF", "Q"]
 
 
+@total_ordering
 class ExtRational:
     """An exact rational or the distinguished element +infinity.
 
@@ -52,10 +54,6 @@ class ExtRational:
             self._frac = Fraction(numerator, denominator)
 
     # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def infinity(cls) -> "ExtRational":
-        return INF
 
     @classmethod
     def _wrap(cls, frac) -> "ExtRational":
@@ -203,24 +201,6 @@ class ExtRational:
         if other._frac is None:
             return True
         return self._frac < other._frac
-
-    def __le__(self, other):
-        eq = self.__eq__(other)
-        if eq is NotImplemented:
-            return NotImplemented
-        return eq or self.__lt__(other)
-
-    def __gt__(self, other):
-        le = self.__le__(other)
-        if le is NotImplemented:
-            return NotImplemented
-        return not le
-
-    def __ge__(self, other):
-        lt = self.__lt__(other)
-        if lt is NotImplemented:
-            return NotImplemented
-        return not lt
 
     # -- conversions ----------------------------------------------------------
 

@@ -46,8 +46,6 @@ __all__ = [
     "spectral_l2_sq",
     "spectral_gradient_l2_sq",
     "lebesgue_norm",
-    "SYM_PAIRS",
-    "SYM_INDEX",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -55,9 +53,9 @@ BOX_VOLUME = TWO_PI**3
 
 # the six independent entries (b, c) of a symmetric 3x3 tensor, such as
 # the second derivatives d_b d_c, and the flat index of every (b, c) within them
-SYM_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-SYM_INDEX = {(b, c): i for i, (b, c) in enumerate(SYM_PAIRS)}
-SYM_INDEX.update({(c, b): i for i, (b, c) in enumerate(SYM_PAIRS)})
+_SYM_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_SYM_INDEX = {(b, c): i for i, (b, c) in enumerate(_SYM_PAIRS)}
+_SYM_INDEX.update({(c, b): i for i, (b, c) in enumerate(_SYM_PAIRS)})
 
 
 def fft_workers() -> int:
@@ -113,11 +111,10 @@ def dealias_mask(N: int) -> np.ndarray:
 
 
 class KeptModes(NamedTuple):
-    """The modes the 2/3 rule keeps: their flat index into one component of
-    the spectral layout, the wavenumber components there, and |k|^2 with
-    the zero mode set to 1 so that it can divide."""
+    """The modes the 2/3 rule keeps, in ``gather_kept``'s order: their
+    wavenumber components, and |k|^2 with the zero mode set to 1 so that it
+    can divide."""
 
-    index: np.ndarray
     kx: np.ndarray
     ky: np.ndarray
     kz: np.ndarray
@@ -126,10 +123,9 @@ class KeptModes(NamedTuple):
 
 @functools.lru_cache(maxsize=8)
 def kept_modes(N: int) -> KeptModes:
-    mask = dealias_mask(N)
-    index = np.flatnonzero(mask)
-    kx, ky, kz, k2 = (np.broadcast_to(k, mask.shape).ravel()[index] for k in wavenumbers(N))
-    return KeptModes(index, kx, ky, kz, np.where(k2 == 0, 1.0, k2))
+    shape = (1, N, N, N // 2 + 1)
+    kx, ky, kz, k2 = (gather_kept(np.broadcast_to(k, shape))[0] for k in wavenumbers(N))
+    return KeptModes(kx, ky, kz, np.where(k2 == 0, 1.0, k2))
 
 
 def _kept_runs(N: int):
@@ -141,8 +137,9 @@ def _kept_runs(N: int):
 
 
 def gather_kept(a: np.ndarray) -> np.ndarray:
-    """The modes ``kept_modes(N)`` lists, in its order, of ``a`` of shape
-    (ncomp, N, N, L) with L > N//3, as a fresh array of shape (ncomp, M).
+    """The modes the 2/3 rule keeps of ``a`` of shape (ncomp, N, N, L) with
+    L > N//3, in the layout's C order, as a fresh array of shape (ncomp, M):
+    the order of every kept-mode array.
 
     The kept set is a product set, so this is 4 block copies."""
     N = a.shape[1]
@@ -377,7 +374,7 @@ def spectral_gradient_l2_sq(coeffs: np.ndarray, N: int) -> float:
 
 def _grid_square_sum(f: SpectralField, k: int) -> np.ndarray:
     """|grad^k u|^2 on the grid, one u_a at a time: its 3 (k = 1) or 6 (k = 2,
-    (b, c) in SYM_PAIRS) distinct derivatives are transformed together and
+    (b, c) in _SYM_PAIRS) distinct derivatives are transformed together and
     squared, and all 3^(k+1) squares are added in (a, b[, c]) order, the
     order in which np.sum over the whole stack adds them."""
     if k == 0:
@@ -387,8 +384,8 @@ def _grid_square_sum(f: SpectralField, k: int) -> np.ndarray:
     if k == 1:
         factors, rows = [1j * kb for kb in kvec], range(3)
     else:
-        factors = [-kvec[b] * kvec[c] for b, c in SYM_PAIRS]
-        rows = [SYM_INDEX[b, c] for b in range(3) for c in range(3)]
+        factors = [-kvec[b] * kvec[c] for b, c in _SYM_PAIRS]
+        rows = [_SYM_INDEX[b, c] for b in range(3) for c in range(3)]
     buf = np.empty((len(factors), *f.coeffs.shape[1:]), dtype=complex)
     total = np.zeros((f.N,) * 3)
     for a in range(3):

@@ -360,7 +360,7 @@ def test_norms_bad_values_exit_2(small_run, capsys):
     traj = ["norms", "--traj", str(out_dir / "norms.csv"), "--k", "0"]
     assert cli.main(traj + ["--r", "2", "--rtilde", "abc"]) == 2
     assert "abc" in capsys.readouterr().err
-    # r = inf has no curve verdict and no sampled series in this run
+    # r = inf has no sampled series in this run
     assert cli.main(traj + ["--r", "inf", "--rtilde", "2"]) == 2
     assert "no samples" in capsys.readouterr().err
 
@@ -378,6 +378,22 @@ def test_norms_missing_series_exits_2(small_run, capsys):
 
 
 NORMS_CSV = "t,k,r,value\n0,0,2,1.5\n0.5,0,2,1.25\n1,0,2,1\n"
+
+
+@pytest.mark.parametrize(
+    "rtilde, verdict",
+    [
+        ("1", "on-curve (branch k0_high)"),
+        ("2", "off-curve (curve gives r_tilde = 1)"),
+        ("inf", "off-curve (curve gives r_tilde = 1)"),
+    ],
+)
+def test_norms_verdict_at_r_infinity(tmp_path, capsys, rtilde, verdict):
+    # the k = 0 curve reaches r = inf on k0_high, where r_tilde = 1
+    traj = tmp_path / "norms.csv"
+    traj.write_text("t,k,r,value\n0,0,inf,1.5\n0.5,0,inf,1.25\n1,0,inf,1\n")
+    assert cli.main(["norms", "--traj", str(traj), "--k", "0", "--r", "inf", "--rtilde", rtilde]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == verdict
 REFUSED_AT_ENTRY = {
     "curves-out-missing-dir": ["curves", "--k", "0", "--r-min", "2", "--r-max", "6", "--out", "{tmp}/no/x.csv"],
     "simulate-out-dir-is-file": ["simulate", "--config", "{cfg:N = 8\ndt = 0.01\nT = 0.01\n}", "--out-dir", "{cfg:}"],

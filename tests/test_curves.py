@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +22,7 @@ from navier_norms.curves import (
     sample_curve,
 )
 from navier_norms.errors import BranchMismatch, NoBranch, OutOfRange
+from navier_norms.exponents import F_FAMILIES, double_interp
 from navier_norms.extrational import INF, Q
 
 
@@ -285,3 +291,66 @@ def test_integer_rule_equals_the_fraction_polynomials(r):
             point = branch.evaluate(r)
             assert point.r_tilde == expected, (branch.branch_id, r)
             assert point.admissible == (expected.is_infinite or expected > Q(0))
+
+
+# -- the tables against the algebra --------------------------------------------
+
+_r, _x = sympy.symbols("r x", positive=True)
+
+
+def _rule(branch_id):
+    """A branch's 1/r_tilde = num(x)/den(x), x = 1/r, as an expression in x."""
+    branch = next(b for b in _BRANCHES if b.branch_id == branch_id)
+    num, den = (sum(Fraction(c) * _x**j for j, c in enumerate(v)) for v in (branch.num, branch.den))
+    return num / den
+
+
+def _family(which, p):
+    """F_FAMILIES[which] at a fixed p, as an expression in r."""
+    num, den = (sum(c * _r**i * p**j for (i, j), c in table.items()) for table in F_FAMILIES[which])
+    return num / den
+
+
+@pytest.mark.parametrize("branch_id, which, p", [("k0_high", "F1", Fraction(3, 2)), ("k1_mid", "F3", 6)])
+def test_branch_is_a_family_at_fixed_p(branch_id, which, p):
+    # k1_mid is F3 at p = 6 once their common factor r - 2 cancels
+    r_tilde = 1 / _rule(branch_id).subs(_x, 1 / _r)
+    assert sympy.cancel(r_tilde - _family(which, p)) == 0
+
+
+@pytest.mark.parametrize("branch_id, same_as", [("grad1_low", "k1_low"), ("velocity_high", "k0_high")])
+def test_sobolev_shifted_branch_is_a_derivative_branch(branch_id, same_as):
+    assert sympy.cancel(_rule(branch_id) - _rule(same_as)) == 0
+
+
+# each interpolation segment and its two (r, r_tilde) endpoint estimates
+_SEGMENTS = [
+    ("k0_energy", (Q(2), INF), (Q(6), Q(2))),
+    ("k0_high", (Q(6), Q(2)), (INF, Q(1))),
+    ("k1_low", (Q(2), Q(2)), (Q(3), Q(1))),
+    ("k2_low", (Q(1), Q(2)), (Q(3, 2), Q(1))),
+    ("k2_high", (Q(2), Q(1, 6)), (INF, Q(1, 9))),
+]
+
+
+@pytest.mark.parametrize("branch_id, lower, upper", _SEGMENTS, ids=[case[0] for case in _SEGMENTS])
+def test_segment_branch_is_double_interp_between_its_endpoints(branch_id, lower, upper):
+    # double_interp's 1/r_tilde at three x = 1/r strictly between the
+    # endpoints fixes a polynomial of degree <= 2 in x, affine exactly when
+    # 1/r_tilde is linear in 1/r; the branch's rule must be that polynomial
+    x_lo, x_hi = _inv(lower[0]), _inv(upper[0])
+    nodes = [x_lo + i * (x_hi - x_lo) / 4 for i in (1, 2, 3)]
+    data = [(x, _inv(double_interp(*lower, *upper, Q(1 / x)))) for x in nodes]
+    assert sympy.cancel(_rule(branch_id) - sympy.interpolate(data, _x)) == 0
+
+
+def test_exact_layer_imports_no_float_library():
+    # floats never enter the exact layer; importing one would open the way
+    src = str(Path(curves.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, navier_norms.curves, navier_norms.exponents; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy', 'sympy'}))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

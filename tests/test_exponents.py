@@ -236,3 +236,31 @@ def test_dp_sign_matches_symbolic_derivative(r, which):
 def test_dp_sign_f3tilde_negative_above_six_fifths():
     for r in (Fraction(13, 10), 2, 5, 100):
         assert f_family_dp_sign("F3tilde", Q(r)) == "negative"
+
+
+@pytest.mark.parametrize(
+    "which, r",
+    [
+        ("F1", 6),
+        ("F2", 3),
+        ("F2", Fraction(6, 5)),
+        ("F3", 3),
+        ("F3", 4),
+        ("F3", Fraction(6, 5)),
+        ("F3tilde", Fraction(6, 5)),
+    ],
+)
+def test_dp_sign_zero_points(which, r):
+    assert f_family_dp_sign(which, Q(r)) == "zero"
+
+
+def test_dp_sign_refusals():
+    # every family is linear in p, which the sign's derivation takes for granted
+    assert all(j <= 1 for table in F_FAMILIES.values() for coeffs in table for _, j in coeffs)
+    with pytest.raises(Pole, match="^F3 derivative undefined at r = 2$"):
+        f_family_dp_sign("F3", Q(2))
+    # r is refused before the family name
+    with pytest.raises(OutOfRange):
+        f_family_dp_sign("F9", Q(1))
+    with pytest.raises(KeyError):
+        f_family_dp_sign("F9", Q(2))

@@ -26,6 +26,7 @@ from navier_norms.spectral import io as spio
 from navier_norms.spectral.field import (
     BOX_VOLUME,
     dealias,
+    dealias_mask,
     kept_modes,
     lebesgue_norm,
     leray_project_coeffs,
@@ -44,6 +45,12 @@ N = 16
 def random_coeffs(rng, n=N):
     shape = (3, n, n, n // 2 + 1)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def kept_index(n):
+    """The flat index of every mode the 2/3 rule keeps, in C order: the
+    order of the kept-mode arrays, stated here independently of them."""
+    return np.flatnonzero(dealias_mask(n))
 
 
 # -- projection ---------------------------------------------------------------
@@ -217,7 +224,7 @@ def test_traced_peak_memory_of_step_and_sampler():
     # 19.1 and 45.0 with per-call arrays and whole derivative stacks
     n = 32
     f = random_solenoidal(n, 0.1, np.random.default_rng(6))
-    v = f.coeffs.reshape(3, -1)[:, kept_modes(n).index]
+    v = f.coeffs.reshape(3, -1)[:, kept_index(n)]
     nonlinear_term(v, n)
 
     def peak_grids(fn):
@@ -356,7 +363,7 @@ def test_axis_permutation_commutes_with_the_step():
 
 def test_nonlinear_term_is_divergence_free_and_dealiased():
     f = random_solenoidal(N, 0.1, np.random.default_rng(9))
-    index = kept_modes(N).index
+    index = kept_index(N)
     out = np.zeros_like(f.coeffs)
     out.reshape(3, -1)[:, index] = nonlinear_term(f.coeffs.reshape(3, -1)[:, index], N)
     kx, ky, kz, _ = wavenumbers(N)
@@ -416,7 +423,7 @@ def test_nonlinear_term_workspace_carries_no_state():
     rng = np.random.default_rng(21)
     inputs = {}
     for n in (16, 32):
-        a = random_solenoidal(n, 0.1, rng).coeffs.reshape(3, -1)[:, kept_modes(n).index]
+        a = random_solenoidal(n, 0.1, rng).coeffs.reshape(3, -1)[:, kept_index(n)]
         b = a.copy()
         b[0, 1], b[1, 2], b[2, -1] = np.nan, np.inf, -np.inf
         inputs[n] = (a, b)
@@ -443,18 +450,20 @@ def test_pruned_transforms_match_full_transforms(monkeypatch, n, threads):
     else:
         monkeypatch.setenv("NAVIER_NORMS_THREADS", threads)
     rng = np.random.default_rng(n)
-    kept = kept_modes(n)
+    kept, index = kept_modes(n), kept_index(n)
     K = n // 3
-    assert len(kept.index) == (2 * K + 1) ** 2 * (K + 1)
+    assert len(index) == len(kept.kx) == (2 * K + 1) ** 2 * (K + 1)
     assert {-K, K} <= set(kept.kx) and {-K, K} <= set(kept.ky) and max(kept.kz) == K
-    coeffs = rng.standard_normal((3, len(kept.index))) + 1j * rng.standard_normal((3, len(kept.index)))
+    kx, ky, kz, k2 = (np.broadcast_to(k, (n, n, n // 2 + 1)).ravel()[index] for k in wavenumbers(n))
+    assert all(np.array_equal(a, b) for a, b in zip(kept, (kx, ky, kz, np.where(k2 == 0, 1.0, k2))))
+    coeffs = rng.standard_normal((3, len(index))) + 1j * rng.standard_normal((3, len(index)))
     assert np.all(coeffs != 0)
     full = np.zeros((3, n, n, n // 2 + 1), dtype=complex)
-    full.reshape(3, -1)[:, kept.index] = coeffs
+    full.reshape(3, -1)[:, index] = coeffs
     for _ in range(2):  # the second call reuses the cached layout
         assert np.array_equal(to_physical_kept(coeffs, n), to_physical(full, n))
     u = rng.standard_normal((6, n, n, n))
-    assert np.array_equal(to_spectral_kept(u), to_spectral(u).reshape(6, -1)[:, kept.index])
+    assert np.array_equal(to_spectral_kept(u), to_spectral(u).reshape(6, -1)[:, index])
 
 
 def _truncated(f):
@@ -478,7 +487,7 @@ def test_nonlinear_term_equals_rotational_form(n, ic):
     w = to_physical(vorticity(f).coeffs, n)
     cross = np.stack([u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0]])
     expected = dealias(leray_project_coeffs(to_spectral(cross), n), n)
-    index = kept_modes(n).index
+    index = kept_index(n)
     got = np.zeros_like(f.coeffs)
     got.reshape(3, -1)[:, index] = nonlinear_term(f.coeffs.reshape(3, -1)[:, index], n)
     assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
