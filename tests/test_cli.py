@@ -377,9 +377,6 @@ def test_norms_missing_series_exits_2(small_run, capsys):
     assert capsys.readouterr().err == "norms: no samples for (k, r) = (0, -1.0)\n"
 
 
-NORMS_CSV = "t,k,r,value\n0,0,2,1.5\n0.5,0,2,1.25\n1,0,2,1\n"
-
-
 @pytest.mark.parametrize(
     "rtilde, verdict",
     [
@@ -394,6 +391,9 @@ def test_norms_verdict_at_r_infinity(tmp_path, capsys, rtilde, verdict):
     traj.write_text("t,k,r,value\n0,0,inf,1.5\n0.5,0,inf,1.25\n1,0,inf,1\n")
     assert cli.main(["norms", "--traj", str(traj), "--k", "0", "--r", "inf", "--rtilde", rtilde]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == verdict
+
+
+NORMS_CSV = "t,k,r,value\n0,0,2,1.5\n0.5,0,2,1.25\n1,0,2,1\n"
 REFUSED_AT_ENTRY = {
     "curves-out-missing-dir": ["curves", "--k", "0", "--r-min", "2", "--r-max", "6", "--out", "{tmp}/no/x.csv"],
     "simulate-out-dir-is-file": ["simulate", "--config", "{cfg:N = 8\ndt = 0.01\nT = 0.01\n}", "--out-dir", "{cfg:}"],
