@@ -76,9 +76,19 @@ class NonIntegrable(NavierNormsError, ValueError):
     pass
 
 
-class MissingSamples(NavierNormsError, KeyError):
+class NotFound(NavierNormsError, KeyError):
+    """A lookup by name or key found nothing."""
+
     def __str__(self) -> str:
         return Exception.__str__(self)  # KeyError.__str__ would quote the message
+
+
+class MissingSamples(NotFound):
+    pass
+
+
+class UnknownFamily(NotFound):
+    """No rational family of the exponent algebra has the requested name."""
 
 
 class NonFinite(NavierNormsError, FloatingPointError):

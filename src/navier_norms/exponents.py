@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AlphaOutOfRange, Degenerate, OutOfRange, Pole
+from .errors import AlphaOutOfRange, Degenerate, OutOfRange, Pole, UnknownFamily
 from .extrational import ExtRational, Q
 
 __all__ = [
@@ -235,14 +235,19 @@ def _poly_eval(coeffs: dict, r: Fraction, p: Fraction) -> Fraction:
     return sum((Fraction(c) * r**i * p**j for (i, j), c in coeffs.items()), Fraction(0))
 
 
+def _family(which: str):
+    """The (numerator, denominator) coefficients of a named family."""
+    if which not in F_FAMILIES:
+        raise UnknownFamily(f"unknown family {which!r}; choose from {sorted(F_FAMILIES)}")
+    return F_FAMILIES[which]
+
+
 def f_family(which: str, r: ExtRational, p: ExtRational) -> ExtRational:
     """Exact value of one of the named rational families at (r, p)."""
-    if which not in F_FAMILIES:
-        raise KeyError(f"unknown family {which!r}; choose from {sorted(F_FAMILIES)}")
+    num_c, den_c = _family(which)
     r, p = Q(r), Q(p)
     if not (r.is_finite and p.is_finite):
         raise OutOfRange("families are defined for finite (r, p)")
-    num_c, den_c = F_FAMILIES[which]
     rf, pf = r.as_fraction(), p.as_fraction()
     den = _poly_eval(den_c, rf, pf)
     if den == 0:
@@ -260,10 +265,9 @@ def f_family_dp_sign(which: str, r: ExtRational) -> str:
     r = Q(r)
     if not (r.is_finite and r > Q(1)):
         raise OutOfRange(f"r={r} must be finite and > 1")
-    if which not in F_FAMILIES:
-        raise KeyError(f"unknown family {which!r}")
+    coeffs = _family(which)
     rf = r.as_fraction()
-    num, den = ([_poly_eval(c, rf, Fraction(p)) for p in (0, 1)] for c in F_FAMILIES[which])
+    num, den = ([_poly_eval(c, rf, Fraction(p)) for p in (0, 1)] for c in coeffs)
     if den == [0, 0]:
         raise Pole(f"{which} derivative undefined at r = {r}")
     dp_num = num[1] * den[0] - num[0] * den[1]

@@ -59,7 +59,8 @@ _SYM_INDEX.update({(c, b): i for i, (b, c) in enumerate(_SYM_PAIRS)})
 
 
 def fft_workers() -> int:
-    """Worker count for the transforms, capped by NAVIER_NORMS_THREADS,
+    """Thread count for the transforms and for the parts that the RK4
+    step's pointwise passes are split into, capped by NAVIER_NORMS_THREADS,
     which must be an integer >= 1 when set."""
     cap = os.environ.get("NAVIER_NORMS_THREADS")
     avail = os.cpu_count() or 1
@@ -260,17 +261,29 @@ def leray_project_coeffs(coeffs: np.ndarray, N: int) -> np.ndarray:
     """Mode-wise orthogonal projection onto divergence-free fields,
     uhat - k (k.uhat)/|k|^2; the zero mode is untouched."""
     kx, ky, kz, k2 = wavenumbers(N)
-    return leray_project_in_place(coeffs.copy(), kx, ky, kz, np.where(k2 == 0, 1.0, k2))
+    scratch = np.empty_like(coeffs[:2])
+    return leray_project_in_place(coeffs.copy(), kx, ky, kz, np.where(k2 == 0, 1.0, k2), scratch)
 
 
-def leray_project_in_place(coeffs: np.ndarray, kx, ky, kz, k2_safe) -> np.ndarray:
+def leray_project_in_place(coeffs: np.ndarray, kx, ky, kz, k2_safe, scratch) -> np.ndarray:
     """The Leray projection of ``coeffs`` written over it, for wavenumber
     components that broadcast against one component of it; ``k2_safe`` is
-    |k|^2 with the zero mode set to 1 (k.uhat is 0 there)."""
-    factor = (kx * coeffs[0] + ky * coeffs[1] + kz * coeffs[2]) / k2_safe
-    coeffs[0] -= kx * factor
-    coeffs[1] -= ky * factor
-    coeffs[2] -= kz * factor
+    |k|^2 with the zero mode set to 1 (k.uhat is 0 there).
+
+    ``scratch`` is two arrays of one component's shape, overwritten; every
+    pass writes into them or into ``coeffs``, so the function allocates
+    nothing.  The operations are those of
+    ``coeffs[a] -= k_a (kx c0 + ky c1 + kz c2) / k2_safe``, in that order."""
+    factor, term = scratch
+    np.multiply(kx, coeffs[0], out=factor)
+    np.multiply(ky, coeffs[1], out=term)
+    np.add(factor, term, out=factor)
+    np.multiply(kz, coeffs[2], out=term)
+    np.add(factor, term, out=factor)
+    np.divide(factor, k2_safe, out=factor)
+    for c, k in zip(coeffs, (kx, ky, kz)):
+        np.multiply(k, factor, out=term)
+        np.subtract(c, term, out=c)
     return coeffs
 
 

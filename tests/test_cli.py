@@ -295,6 +295,23 @@ def test_cli_import_skips_scipy_integrate(tmp_path):
         assert out.stderr.strip() == "[]"
 
 
+def test_spectral_import_and_small_simulate_start_no_thread(tmp_path):
+    # the pool that splits the step's pointwise passes comes at the first
+    # split, from N = 64; importing the solver and running at N = 32 start none
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, threading; before = threading.active_count(); "
+        "import navier_norms.spectral as s; "
+        "assert not [m for m in sys.modules if m.startswith('concurrent.futures')]; "
+        "assert threading.active_count() == before; "
+        "s.simulate(s.SolverConfig(N=32, dt=0.01, T=0.02, sample_stride=1)); "
+        "print(threading.active_count() - before)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
+
+
 def test_norms_on_curve_verdict(small_run, capsys):
     _, out_dir = small_run
     code = cli.main(

@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from navier_norms.errors import AlphaOutOfRange, Degenerate, OutOfRange, Pole
+from navier_norms.errors import AlphaOutOfRange, Degenerate, OutOfRange, Pole, UnknownFamily
 from navier_norms.exponents import (
     F_FAMILIES,
     brezis_mironescu,
@@ -264,3 +264,13 @@ def test_dp_sign_refusals():
         f_family_dp_sign("F9", Q(1))
     with pytest.raises(KeyError):
         f_family_dp_sign("F9", Q(2))
+
+
+def test_unknown_family_one_refusal():
+    # both lookups give one message, unquoted, and stay a KeyError
+    message = "unknown family 'F9'; choose from ['F1', 'F2', 'F3', 'F3tilde']"
+    for call in (lambda: f_family("F9", Q(2), Q(3)), lambda: f_family_dp_sign("F9", Q(2))):
+        with pytest.raises(UnknownFamily) as info:
+            call()
+        assert isinstance(info.value, KeyError)
+        assert str(info.value) == message

@@ -1,5 +1,6 @@
 import math
 import struct
+import time
 import tracemalloc
 import warnings
 
@@ -23,6 +24,7 @@ from navier_norms.spectral import (
     weighted_singular_integral,
 )
 from navier_norms.spectral import io as spio
+from navier_norms.spectral import solver
 from navier_norms.spectral.field import (
     BOX_VOLUME,
     dealias,
@@ -581,6 +583,73 @@ def test_blowup_raises_nonfinite():
         warnings.simplefilter("ignore")
         with pytest.raises(NonFinite):
             simulate(config)
+
+
+def test_split_step_independent_of_thread_count(monkeypatch):
+    # N = 64 is at the split crossover, so on 2 or more cores every
+    # pointwise pass of the step runs in two parts with 2 threads; the
+    # results must not move a bit
+    assert solver._SPLIT_MIN_N <= 64
+    config = SolverConfig(
+        N=64, nu=0.05, dt=2e-3, T=4e-3, sample_stride=1, norms=((0, 6.0), (1, 2.0)),
+        initial_condition="random", ic_params={"seed": 7},
+    )
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("NAVIER_NORMS_THREADS", threads)
+        states = []
+        _, traj, report = simulate(config, on_sample=lambda t, f: states.append(f.coeffs.copy()))
+        runs.append((states, traj, report))
+    (s1, t1, r1), (s2, t2, r2) = runs
+    assert len(s1) == len(s2) == 3
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(s1, s2))
+    assert r1.energy.tobytes() == r2.energy.tobytes()
+    assert r1.dissipation.tobytes() == r2.dissipation.tobytes()
+    assert t1.samples.keys() == t2.samples.keys()
+    for pair in t1.samples:
+        assert t1.samples[pair].tobytes() == t2.samples[pair].tobytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_split_step_raises_floating_point_error(monkeypatch, threads):
+    # the errstate of the caller holds in every part of the split passes
+    monkeypatch.setenv("NAVIER_NORMS_THREADS", threads)
+    rng = np.random.default_rng(2)
+    huge = SpectralField(N=64, nu=0.1, coeffs=1e200 * random_coeffs(rng, 64))
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        step(huge, 1e-3)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_in_parts_raises_in_the_caller_context(monkeypatch, threads):
+    # the last part overflows: with 2 threads it runs on the pool
+    monkeypatch.setenv("NAVIER_NORMS_THREADS", threads)
+    big, out = np.full(64, 1e200), np.empty(64)
+
+    def kernel(part):
+        if part.stop == 64:
+            np.multiply(big[part], big[part], out=out[part])
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        solver._in_parts(kernel, 64, 64)
+    with np.errstate(over="ignore"):
+        solver._in_parts(kernel, 64, 64)
+    assert np.isinf(out[-1])
+
+
+def test_in_parts_raises_after_every_part(monkeypatch):
+    monkeypatch.setenv("NAVIER_NORMS_THREADS", "2")
+    finished = []
+
+    def kernel(part):
+        if part.start == 0:
+            raise ValueError("first part failed")
+        time.sleep(0.2)
+        finished.append(part)
+
+    with pytest.raises(ValueError, match="first part failed"):
+        solver._in_parts(kernel, 64, 64)
+    assert finished == [slice(32, 64)]
 
 
 def test_results_independent_of_fft_threads(monkeypatch):
