@@ -20,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "SpectralField",
+    "cpu_count",
     "fft_workers",
     "check_grid_size",
     "wavenumbers",
@@ -58,17 +59,40 @@ _SYM_INDEX = {(b, c): i for i, (b, c) in enumerate(_SYM_PAIRS)}
 _SYM_INDEX.update({(c, b): i for i, (b, c) in enumerate(_SYM_PAIRS)})
 
 
-def fft_workers() -> int:
+# the smallest grid whose transforms and RK4 step passes use every thread;
+# below it each transform runs on one thread, and ``solver.simulate`` gives
+# a second thread to the norm sampler instead
+_SPLIT_MIN_N = 64
+
+
+@functools.lru_cache(maxsize=1)
+def cpu_count() -> int:
+    """``os.cpu_count()``, read once per process; it also sizes the
+    solver's thread pool."""
+    return os.cpu_count() or 1
+
+
+def fft_workers(N: int | None = None) -> int:
     """Thread count for the transforms and for the parts that the RK4
-    step's pointwise passes are split into, capped by NAVIER_NORMS_THREADS,
-    which must be an integer >= 1 when set."""
+    step's pointwise passes are split into at grid size N: all threads
+    from N = 64, one below.  Without N, all threads.
+
+    All threads are ``cpu_count()``, capped by NAVIER_NORMS_THREADS, which
+    must be an integer >= 1 when set; the variable is read at every call.
+    Below N = 64 a thread the transforms leave idle takes the overlapped
+    norm sampler (``solver.simulate``).  On 2 cores at N = 32 a transform's
+    two halves cost more than they save: a simulate of random data with a
+    sample after each of 50 steps took 0.61 s with one-thread transforms
+    against 0.79 s with two (medians of 12 alternated runs, all 12 won).
+    """
     cap = os.environ.get("NAVIER_NORMS_THREADS")
-    avail = os.cpu_count() or 1
     if cap is None:
-        return avail
-    if not cap.strip().isdecimal() or int(cap) < 1:
+        threads = cpu_count()
+    elif not cap.strip().isdecimal() or int(cap) < 1:
         raise ValueError(f"NAVIER_NORMS_THREADS={cap!r} must be an integer >= 1")
-    return min(avail, int(cap))
+    else:
+        threads = min(cpu_count(), int(cap))
+    return threads if N is None or N >= _SPLIT_MIN_N else 1
 
 
 def check_grid_size(N: int) -> None:
@@ -182,11 +206,13 @@ def to_physical_kept(coeffs: np.ndarray, N: int) -> np.ndarray:
     the lines that are still zero: along x only the kept (ky, kz) lines,
     along y only the kz <= K lines, then the c2r transform along z.  The
     layout is cached for the most recent (ncomp, N), so the function is not
-    re-entrant.  The returned grid is fresh.
+    re-entrant, and the layout belongs to the RK4 step: a norm sampler that
+    ``solver.simulate`` overlaps with the step must never call this, only
+    ``to_physical``.  The returned grid is fresh.
     """
     import scipy.fft
 
-    K, workers = N // 3, fft_workers()
+    K, workers = N // 3, fft_workers(N)
     full = _zeroed_layout(coeffs.shape[0], N)
     slab = full[..., : K + 1]
     slab[...] = 0.0
@@ -209,7 +235,7 @@ def to_spectral_kept(u: np.ndarray) -> np.ndarray:
     import scipy.fft
 
     N = u.shape[-1]
-    K, workers = N // 3, fft_workers()
+    K, workers = N // 3, fft_workers(N)
     slab = scipy.fft.rfft(u, axis=-1, norm="forward", workers=workers)[..., : K + 1]
     scipy.fft.fft(slab, axis=1, norm="forward", overwrite_x=True, workers=workers)
     for _, x in _kept_runs(N):
@@ -238,11 +264,14 @@ class SpectralField:
 
 
 def to_physical(coeffs: np.ndarray, N: int) -> np.ndarray:
-    """Inverse transform to the N^3 collocation grid (any leading axes)."""
+    """Inverse transform to the N^3 collocation grid (any leading axes).
+
+    It holds no cached array, so it may run on the sampler's thread while
+    the RK4 step transforms on the calling one."""
     import scipy.fft  # here, so that importing the package loads no scipy
 
     return scipy.fft.irfftn(
-        coeffs, s=(N, N, N), axes=(-3, -2, -1), norm="forward", workers=fft_workers()
+        coeffs, s=(N, N, N), axes=(-3, -2, -1), norm="forward", workers=fft_workers(N)
     )
 
 
@@ -250,7 +279,7 @@ def to_spectral(u: np.ndarray) -> np.ndarray:
     """Forward transform from the collocation grid (any leading axes)."""
     import scipy.fft
 
-    return scipy.fft.rfftn(u, axes=(-3, -2, -1), norm="forward", workers=fft_workers())
+    return scipy.fft.rfftn(u, axes=(-3, -2, -1), norm="forward", workers=fft_workers(u.shape[-1]))
 
 
 def dealias(coeffs: np.ndarray, N: int) -> np.ndarray:
@@ -363,9 +392,12 @@ def _parseval_weights(N: int, m: int) -> np.ndarray:
 
 def parseval_sums(coeffs: np.ndarray, N: int, orders: tuple[int, ...]) -> list[float]:
     """``parseval_sq(coeffs, N, m)`` for each m in ``orders``, from one
-    |uhat|^2 pass."""
-    sq = np.abs(coeffs) ** 2
-    return [float(BOX_VOLUME * np.sum(_parseval_weights(N, m) * sq)) for m in orders]
+    |uhat|^2 pass, which the last order weighs in place."""
+    sq = np.abs(coeffs)
+    np.square(sq, out=sq)
+    *first, last = orders
+    sums = [float(BOX_VOLUME * np.sum(_parseval_weights(N, m) * sq)) for m in first]
+    return sums + [float(BOX_VOLUME * np.sum(np.multiply(_parseval_weights(N, last), sq, out=sq)))]
 
 
 def parseval_sq(coeffs: np.ndarray, N: int, m: int) -> float:
@@ -386,29 +418,33 @@ def spectral_gradient_l2_sq(coeffs: np.ndarray, N: int) -> float:
 
 
 def _grid_square_sum(f: SpectralField, k: int) -> np.ndarray:
-    """|grad^k u|^2 on the grid, one u_a at a time: its 3 (k = 1) or 6 (k = 2,
-    (b, c) in _SYM_PAIRS) distinct derivatives are transformed together and
-    squared, and all 3^(k+1) squares are added in (a, b[, c]) order, the
-    order in which np.sum over the whole stack adds them."""
-    if k == 0:
-        squares = to_physical(f.coeffs, f.N)
-        return np.sum(np.square(squares, out=squares), axis=0)
-    kvec = wavenumbers(f.N)[:3]
-    if k == 1:
-        factors, rows = [1j * kb for kb in kvec], range(3)
-    else:
-        factors = [-kvec[b] * kvec[c] for b, c in _SYM_PAIRS]
-        rows = [_SYM_INDEX[b, c] for b in range(3) for c in range(3)]
-    buf = np.empty((len(factors), *f.coeffs.shape[1:]), dtype=complex)
+    """|grad^k u|^2 on the grid, one u_a at a time, with all 3^(k+1) squares
+    added in (a, b[, c]) order, the order in which np.sum over the whole
+    stack adds them.  For k = 0 and 1 each u_a or d_b u_a is transformed
+    and squared alone; for k = 2 the 6 distinct d_b d_c u_a ((b, c) in
+    _SYM_PAIRS) are transformed together, and each square is added once for
+    every (b, c) it stands for."""
     total = np.zeros((f.N,) * 3)
-    for a in range(3):
-        for factor, out in zip(factors, buf):
-            np.multiply(factor, f.coeffs[a], out=out)
-        squares = to_physical(buf, f.N)
+
+    def add_squares(spectra: np.ndarray, rows=(0,)) -> None:
+        squares = to_physical(spectra, f.N)
         np.square(squares, out=squares)
         for i in rows:
-            total += squares[i]
-        del squares  # freed before the next transform allocates its own
+            np.add(total, squares[i], out=total)
+
+    kvec = wavenumbers(f.N)[:3]
+    buf = np.empty((6 if k == 2 else 1, *f.coeffs.shape[1:]), dtype=complex)
+    for a in range(3):
+        if k == 0:
+            add_squares(f.coeffs[a : a + 1])
+        elif k == 1:
+            for kb in kvec:
+                np.multiply(1j * kb, f.coeffs[a], out=buf[0])
+                add_squares(buf)
+        else:
+            for (b, c), out in zip(_SYM_PAIRS, buf):
+                np.multiply(-kvec[b] * kvec[c], f.coeffs[a], out=out)
+            add_squares(buf, [_SYM_INDEX[b, c] for b in range(3) for c in range(3)])
     return total
 
 
@@ -419,12 +455,13 @@ def lebesgue_norm(f: SpectralField, k: int, r: float) -> float:
     r = 2 is the Parseval sum ``parseval_sq(f.coeffs, f.N, k) ** 0.5``, the
     exact integral of the trigonometric polynomial the coefficients hold.
     Every other r is by collocation-grid quadrature, one velocity component
-    at a time (at most 6 derivative grids, not 18, are held).  The two agree to
-    roundoff unless the field has content on a Nyquist plane (|k_i| = N/2),
-    which the 2/3 rule leaves empty.  There the grid is not the exact
-    integral either: on the kz = 0 and kz = N/2 planes it drops the sine
-    half of a Nyquist mode's derivative.  For k = 0 the two are equal by
-    discrete Parseval.
+    at a time (at most 6 derivative grids, not 18, are held; for k = 1,
+    one), with the root and the power taken in place in the sum's grid.
+    The two agree to roundoff unless the field has content on a Nyquist
+    plane (|k_i| = N/2), which the 2/3 rule leaves empty.  There the grid
+    is not the exact integral either: on the kz = 0 and kz = N/2 planes it
+    drops the sine half of a Nyquist mode's derivative.  For k = 0 the two
+    are equal by discrete Parseval.
     """
     if k not in (0, 1, 2):
         raise ValueError(f"derivative order k={k} outside 0..2")
@@ -432,7 +469,9 @@ def lebesgue_norm(f: SpectralField, k: int, r: float) -> float:
         raise ValueError(f"r={r} must be >= 1 or inf")
     if r == 2.0:
         return parseval_sq(f.coeffs, f.N, k) ** 0.5
-    mag = np.sqrt(_grid_square_sum(f, k))
+    mag = _grid_square_sum(f, k)
+    np.sqrt(mag, out=mag)
     if r == np.inf:
         return float(mag.max())
-    return float(np.mean(mag**r) * BOX_VOLUME) ** (1.0 / r)
+    mag **= r  # in place, with the fast paths of mag**r
+    return float(np.mean(mag) * BOX_VOLUME) ** (1.0 / r)

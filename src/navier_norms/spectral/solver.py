@@ -10,7 +10,6 @@ from __future__ import annotations
 import contextvars
 import functools
 import logging
-import os
 import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
@@ -70,22 +69,19 @@ class SolverConfig:
         return sf.random_solenoidal(self.N, self.nu, rng, decay=float(self.ic_params.get("decay", 2.0)))
 
 
-# the smallest grid whose pointwise passes _in_parts splits (see there)
-_SPLIT_MIN_N = 64
-
-
 @functools.lru_cache(maxsize=1)
 def _pool():
-    """The threads that run every part but the first; created at the first
-    split, so importing the package starts no thread."""
+    """The threads that run every part of a split pass but the first, and
+    the overlapped norm sampler; created at first use, so importing the
+    package starts no thread."""
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(max_workers=(os.cpu_count() or 1) - 1, thread_name_prefix="navier-norms")
+    return ThreadPoolExecutor(max_workers=sf.cpu_count() - 1, thread_name_prefix="navier-norms")
 
 
 def _in_parts(kernel: Callable[[slice], None], length: int, N: int) -> None:
     """Call ``kernel(part)`` for contiguous slices ``part`` that cover
-    ``range(length)``, one per ``field.fft_workers()``, in parallel.
+    ``range(length)``, one per ``field.fft_workers(N)``, in parallel.
 
     The first part runs on the calling thread and the others on one thread
     pool, each in a copy of the caller's ``contextvars`` context, so numpy's
@@ -97,14 +93,15 @@ def _in_parts(kernel: Callable[[slice], None], length: int, N: int) -> None:
     same for any number of parts.  The pool's threads only write disjoint
     slices; no two callers may step at once.
 
-    Below N = ``_SPLIT_MIN_N`` the kernel is called once on the whole range.
-    On 2 cores, with RK4 steps alternated in one process with the split on
-    and off, a step took 52-54 ms split against 62-65 ms serial at N = 64
-    (68 of 80 steps won, CPU time per step not higher), but 11.4-12.5 ms
-    against 9.9-11.3 ms at N = 32 (30 of 200 won), where a part is too
-    short to repay the hand-off.
+    Below N = 64 ``fft_workers(N)`` is 1: the kernel is called once on the
+    whole range and the pool is left to the norm sampler (see
+    ``simulate``).  On 2 cores, with RK4 steps alternated in one process
+    with the split on and off, a step took 52-54 ms split against 62-65 ms
+    serial at N = 64 (68 of 80 steps won, CPU time per step not higher),
+    but 11.4-12.5 ms against 9.9-11.3 ms at N = 32 (30 of 200 won), where a
+    part is too short to repay the hand-off.
     """
-    parts = sf.fft_workers() if N >= _SPLIT_MIN_N else 1
+    parts = sf.fft_workers(N)
     bounds = [length * i // parts for i in range(parts + 1)]
     first, *rest = (slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
     futures = [_pool().submit(contextvars.copy_context().run, kernel, part) for part in rest]
@@ -288,10 +285,28 @@ def simulate(config: SolverConfig, on_sample: Callable | None = None):
     Returns ([final state], NormTrajectory, EnergyReport).  Energy and
     dissipation are recorded at every step from the coefficients; the norm
     table is sampled every ``sample_stride`` steps, at t = 0 and at T, and
-    ``on_sample(t, state)`` is called once per sample time.  The hook must
-    not modify ``state``, and must copy it to keep it past the call.  Warns
-    with CFLViolation when the initial advective CFL number exceeds 0.5,
-    and raises NonFinite at the first non-finite coefficient.
+    ``on_sample(t, state)`` is called once per sample time, in time order,
+    on the calling thread.  The hook must not modify ``state``, and must
+    copy it to keep it past the call.  Warns with CFLViolation when the
+    initial advective CFL number exceeds 0.5, and raises NonFinite at the
+    first non-finite coefficient.
+
+    Below N = 64 the transforms and the step's passes run on one thread
+    (``field.fft_workers(N)``), and a second thread, where there is one,
+    computes each sample's norms on ``_pool()`` while the next steps run.
+    At most one sample is in flight: it is collected before the next one is
+    handed over and before the trajectory is built, and it runs in a copy
+    of the caller's ``contextvars`` context, as ``_in_parts`` parts do.
+    Every exit waits for it, and its exception is raised here.  The sampler
+    transforms with ``to_physical``, which holds no workspace, and must
+    never call ``to_physical_kept``, whose layout the step owns; the states
+    it reads are fresh arrays that no step writes.  So every figure is the
+    same, bit for bit, inline or overlapped.  On 2 cores, a simulate of
+    random data at N = 32 with a sample after each of 50 steps took 0.44 s
+    overlapped against 0.61 s inline, both with one-thread transforms, and
+    0.79 s with two-thread transforms and inline sampling (medians of 12
+    alternated runs; CPU time 0.70, 0.61 and 0.82 s).  Where the transforms
+    use every thread, from N = 64 or with one, sampling runs inline.
     """
     state = config.make_initial_field()
     N, n_steps = config.N, config.n_steps
@@ -306,6 +321,9 @@ def simulate(config: SolverConfig, on_sample: Callable | None = None):
     step_times, energy, dissipation = [], [], []
     pairs = list(dict.fromkeys((int(k), float(r)) for k, r in config.norms))
     sample_times, samples = [], {pair: [] for pair in pairs}
+    # a thread that the transforms leave idle takes the sampler
+    overlap = sf.fft_workers(N) < sf.fft_workers()
+    in_flight = None  # the future of the sample on the pool
 
     def record_energy(t: float, f: sf.SpectralField) -> None:
         step_times.append(t)
@@ -313,23 +331,45 @@ def simulate(config: SolverConfig, on_sample: Callable | None = None):
         energy.append(0.5 * u_sq)
         dissipation.append(config.nu * grad_sq)
 
+    def norms(f: sf.SpectralField) -> list[float]:
+        return [sf.lebesgue_norm(f, *pair) for pair in pairs]
+
+    def record_norms(values: list[float]) -> None:
+        for pair, value in zip(pairs, values):
+            samples[pair].append(value)
+
+    def collect() -> None:
+        nonlocal in_flight
+        if in_flight is not None:
+            future, in_flight = in_flight, None
+            record_norms(future.result())
+
     def sample(t: float, f: sf.SpectralField) -> None:
+        nonlocal in_flight
         sample_times.append(t)
-        for pair in pairs:
-            samples[pair].append(sf.lebesgue_norm(f, *pair))
+        collect()
+        if overlap:
+            in_flight = _pool().submit(contextvars.copy_context().run, norms, f)
+        else:
+            record_norms(norms(f))
         if on_sample is not None:
             on_sample(t, f)
 
-    record_energy(0.0, state)
-    sample(0.0, state)
-    for i in range(1, n_steps + 1):
-        state = step(state, config.dt)
-        t = i * config.dt
-        if not np.all(np.isfinite(state.coeffs.view(np.float64))):
-            raise NonFinite(time=t, step=i)
-        record_energy(t, state)
-        if i % config.sample_stride == 0 or i == n_steps:
-            sample(t, state)
+    try:
+        record_energy(0.0, state)
+        sample(0.0, state)
+        for i in range(1, n_steps + 1):
+            state = step(state, config.dt)
+            t = i * config.dt
+            if not np.all(np.isfinite(state.coeffs.view(np.float64))):
+                raise NonFinite(time=t, step=i)
+            record_energy(t, state)
+            if i % config.sample_stride == 0 or i == n_steps:
+                sample(t, state)
+        collect()
+    finally:
+        if in_flight is not None:
+            in_flight.exception()  # waits; the exception on the way out wins
 
     traj = NormTrajectory(
         times=np.asarray(sample_times),

@@ -295,21 +295,29 @@ def test_cli_import_skips_scipy_integrate(tmp_path):
         assert out.stderr.strip() == "[]"
 
 
-def test_spectral_import_and_small_simulate_start_no_thread(tmp_path):
-    # the pool that splits the step's pointwise passes comes at the first
-    # split, from N = 64; importing the solver and running at N = 32 start none
+@pytest.mark.parametrize("threads", [None, "1"])
+def test_spectral_import_starts_no_thread_small_simulate_at_most_one(tmp_path, threads):
+    # the pool comes at first use; importing the solver starts no thread.
+    # Below N = 64 it holds the one thread that overlaps the norm sampler
+    # with the steps: none with NAVIER_NORMS_THREADS=1 or one CPU, else
+    # exactly one, which a second simulate reuses
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("NAVIER_NORMS_THREADS", None)
+    if threads is not None:
+        env["NAVIER_NORMS_THREADS"] = threads
     code = (
         "import sys, threading; before = threading.active_count(); "
         "import navier_norms.spectral as s; "
         "assert not [m for m in sys.modules if m.startswith('concurrent.futures')]; "
         "assert threading.active_count() == before; "
-        "s.simulate(s.SolverConfig(N=32, dt=0.01, T=0.02, sample_stride=1)); "
-        "print(threading.active_count() - before)"
+        "config = s.SolverConfig(N=32, dt=0.01, T=0.02, sample_stride=1); "
+        "s.simulate(config); first = threading.active_count() - before; "
+        "s.simulate(config); print(first, threading.active_count() - before, s.field.cpu_count())"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "0"
+    first, second, cpus = map(int, out.stdout.split())
+    assert first == second == (1 if threads is None and cpus > 1 else 0)
 
 
 def test_norms_on_curve_verdict(small_run, capsys):

@@ -1,5 +1,6 @@
 import math
 import struct
+import threading
 import time
 import tracemalloc
 import warnings
@@ -24,7 +25,7 @@ from navier_norms.spectral import (
     weighted_singular_integral,
 )
 from navier_norms.spectral import io as spio
-from navier_norms.spectral import solver
+from navier_norms.spectral import field, solver
 from navier_norms.spectral.field import (
     BOX_VOLUME,
     dealias,
@@ -589,7 +590,7 @@ def test_split_step_independent_of_thread_count(monkeypatch):
     # N = 64 is at the split crossover, so on 2 or more cores every
     # pointwise pass of the step runs in two parts with 2 threads; the
     # results must not move a bit
-    assert solver._SPLIT_MIN_N <= 64
+    assert field._SPLIT_MIN_N <= 64
     config = SolverConfig(
         N=64, nu=0.05, dt=2e-3, T=4e-3, sample_stride=1, norms=((0, 6.0), (1, 2.0)),
         initial_condition="random", ic_params={"seed": 7},
@@ -652,21 +653,89 @@ def test_in_parts_raises_after_every_part(monkeypatch):
     assert finished == [slice(32, 64)]
 
 
-def test_results_independent_of_fft_threads(monkeypatch):
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("ic", ["taylor_green", "random"])
+def test_results_independent_of_fft_threads(monkeypatch, n, ic):
+    # below N = 64, one thread samples inline and two overlap each sample
+    # with the next steps on the pool: every figure must be the same
     config = SolverConfig(
-        N=16, nu=0.05, dt=5e-3, T=0.02, sample_stride=1,
-        initial_condition="random", ic_params={"seed": 4},
+        N=n, nu=0.05, dt=5e-3, T=0.02, sample_stride=1,
+        initial_condition=ic, ic_params={"seed": 4},
     )
     runs = []
     for threads in ("1", "2"):
         monkeypatch.setenv("NAVIER_NORMS_THREADS", threads)
-        _, traj, report = simulate(config)
-        runs.append((traj, report))
-    (t1, r1), (t2, r2) = runs
-    assert np.array_equal(r1.energy, r2.energy)
+        fields, traj, report = simulate(config)
+        runs.append((fields[-1], traj, report))
+    (f1, t1, r1), (f2, t2, r2) = runs
+    assert f1.coeffs.tobytes() == f2.coeffs.tobytes()
+    assert r1.energy.tobytes() == r2.energy.tobytes()
+    assert r1.dissipation.tobytes() == r2.dissipation.tobytes()
+    assert t1.times.tobytes() == t2.times.tobytes()
     assert t1.samples.keys() == t2.samples.keys()
     for pair in t1.samples:
-        assert np.array_equal(t1.samples[pair], t2.samples[pair])
+        assert t1.samples[pair].tobytes() == t2.samples[pair].tobytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sample_error_reaches_caller_after_the_sample_ends(monkeypatch, threads):
+    # the 3rd sample fails after the others have run; with 2 threads it runs
+    # on the pool while the next step does, and simulate raises only once
+    # no sample is running
+    monkeypatch.setenv("NAVIER_NORMS_THREADS", threads)
+    config = SolverConfig(N=16, nu=0.05, dt=5e-3, T=0.03, sample_stride=1, norms=((0, 6.0), (1, 3.0)))
+    real, running, calls = field.lebesgue_norm, [], []
+
+    def failing(f, k, r):
+        running.append(1)
+        try:
+            calls.append(threading.get_ident())
+            time.sleep(0.02)
+            if len(calls) == 2 * 3:
+                raise ValueError("third sample failed")
+            return real(f, k, r)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(field, "lebesgue_norm", failing)
+    with pytest.raises(ValueError, match="third sample failed"):
+        simulate(config)
+    assert not running and len(calls) == 2 * 3
+    overlapped = threads == "2" and field.cpu_count() > 1
+    assert (threading.get_ident() in calls) != overlapped
+    monkeypatch.setattr(field, "lebesgue_norm", real)
+    _, traj, _ = simulate(config)
+    assert len(traj.times) == 7
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_failing_hook_waits_for_the_sample_in_flight(monkeypatch, threads):
+    monkeypatch.setenv("NAVIER_NORMS_THREADS", threads)
+    config = SolverConfig(N=16, nu=0.05, dt=5e-3, T=0.03, sample_stride=1, norms=((0, 6.0),))
+    real, ended = field.lebesgue_norm, []
+
+    def slow(f, k, r):
+        time.sleep(0.05)
+        ended.append(f)
+        return real(f, k, r)
+
+    def hook(t, f):
+        if t > 0:
+            raise RuntimeError("hook failed")
+
+    monkeypatch.setattr(field, "lebesgue_norm", slow)
+    with pytest.raises(RuntimeError, match="hook failed"):
+        simulate(config, on_sample=hook)
+    assert len(ended) == 2  # the sample at t = dt ended before simulate raised
+
+
+def test_on_sample_sees_times_in_order_on_the_calling_thread(monkeypatch):
+    monkeypatch.delenv("NAVIER_NORMS_THREADS", raising=False)
+    config = SolverConfig(N=16, nu=0.05, dt=5e-3, T=0.04, sample_stride=3)
+    seen = []
+    _, traj, _ = simulate(config, on_sample=lambda t, f: seen.append((t, threading.get_ident())))
+    assert [t for t, _ in seen] == list(traj.times) == sorted(traj.times)
+    assert {ident for _, ident in seen} == {threading.get_ident()}
 
 
 def test_solver_config_validation():
