@@ -455,13 +455,13 @@ def lebesgue_norm(f: SpectralField, k: int, r: float) -> float:
     r = 2 is the Parseval sum ``parseval_sq(f.coeffs, f.N, k) ** 0.5``, the
     exact integral of the trigonometric polynomial the coefficients hold.
     Every other r is by collocation-grid quadrature, one velocity component
-    at a time (at most 6 derivative grids, not 18, are held; for k = 1,
-    one), with the root and the power taken in place in the sum's grid.
-    The two agree to roundoff unless the field has content on a Nyquist
-    plane (|k_i| = N/2), which the 2/3 rule leaves empty.  There the grid
-    is not the exact integral either: on the kz = 0 and kz = N/2 planes it
-    drops the sine half of a Nyquist mode's derivative.  For k = 0 the two
-    are equal by discrete Parseval.
+    at a time (at most 6 derivative grids, not 18, are held; for k = 0
+    and 1, one), with the root and the power taken in place in the sum's
+    grid.  The two agree to roundoff unless the field has content on a
+    Nyquist plane (|k_i| = N/2), which the 2/3 rule leaves empty.  There
+    the grid is not the exact integral either: on the kz = 0 and kz = N/2
+    planes it drops the sine half of a Nyquist mode's derivative.  For
+    k = 0 the two are equal by discrete Parseval.
     """
     if k not in (0, 1, 2):
         raise ValueError(f"derivative order k={k} outside 0..2")

@@ -729,6 +729,22 @@ def test_failing_hook_waits_for_the_sample_in_flight(monkeypatch, threads):
     assert len(ended) == 2  # the sample at t = dt ended before simulate raised
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sampler_raises_floating_point_error(monkeypatch, threads):
+    # |u|^6 overflows in the (0, 6) norm, while a step of dt = 1e-60 leaves
+    # the state finite: the caller's errstate holds in the sampler, inline
+    # or on the pool
+    monkeypatch.setenv("NAVIER_NORMS_THREADS", threads)
+    config = SolverConfig(N=16, nu=0.1, dt=1e-60, T=1e-60, norms=((0, 6.0),))
+    huge = 1e55 * random_solenoidal(16, 0.1, np.random.default_rng(3)).coeffs
+    config.make_initial_field = lambda: SpectralField(N=16, nu=0.1, coeffs=huge)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        simulate(config)
+    with np.errstate(over="ignore"):
+        _, traj, _ = simulate(config)
+    assert np.all(np.isinf(traj.samples[(0, 6.0)]))
+
+
 def test_on_sample_sees_times_in_order_on_the_calling_thread(monkeypatch):
     monkeypatch.delenv("NAVIER_NORMS_THREADS", raising=False)
     config = SolverConfig(N=16, nu=0.05, dt=5e-3, T=0.04, sample_stride=3)
